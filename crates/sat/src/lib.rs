@@ -12,6 +12,10 @@
 //! adds a blocking clause and re-solves. [`Solver::add_clause`] may be called
 //! between [`Solver::solve`] calls, and learnt clauses are kept across calls.
 //!
+//! Clauses live inline in one flat `u32` arena (see `clause.rs` and the
+//! "SAT clause storage" section of `DESIGN.md`): a clause reference is a
+//! word offset, so watch visits never chase a per-clause allocation.
+//!
 //! ## Example
 //!
 //! Enumerate the models of `(a ∨ b)`:

@@ -7,6 +7,14 @@
 //! is *incremental*: clauses may be added between [`Solver::solve`] calls and
 //! solving under assumptions is supported, which is exactly what the
 //! CheckFence specification-mining loop requires (Section 3.2 of the paper).
+//!
+//! Clauses are stored in the flat arena of `clause.rs`; watchers and
+//! reasons hold arena offsets. Database reduction frees its victims,
+//! drops their watchers in one order-preserving pass over the watch
+//! lists, and compacts the arena once dead words pass a fixed fraction,
+//! rewriting every watcher and reason. Storage never steers the search:
+//! watch order, literal swaps and reduction order depend only on the
+//! order clauses were added, not on where they live.
 
 use crate::clause::{ClauseDb, ClauseRef};
 use crate::heap::VarHeap;
@@ -154,6 +162,8 @@ pub struct Solver {
 
     // scratch buffer for conflict analysis
     seen: Vec<bool>,
+    // scratch buffer for `add_clause`
+    add_buf: Vec<Lit>,
 
     max_learnts: f64,
     stats: Stats,
@@ -199,6 +209,7 @@ impl Solver {
             unsat: false,
             last_core: None,
             seen: Vec::new(),
+            add_buf: Vec::new(),
             max_learnts: 0.0,
             stats: Stats::default(),
             conflict_budget: None,
@@ -251,12 +262,12 @@ impl Solver {
     /// Number of live problem clauses (units and empty clauses are absorbed
     /// into the assignment and the unsat flag and are not counted).
     pub fn num_clauses(&self) -> usize {
-        self.db.num_original
+        self.db.num_original()
     }
 
     /// Number of live learnt clauses.
     pub fn num_learnts(&self) -> usize {
-        self.db.num_learnt
+        self.db.num_learnt()
     }
 
     /// Cumulative statistics.
@@ -321,32 +332,17 @@ impl Solver {
             return false;
         }
         self.cancel_until(0);
-        let mut c: Vec<Lit> = lits.into_iter().collect();
-        c.sort_unstable();
-        c.dedup();
-        // Detect tautologies and strip literals false at level 0.
-        let mut simplified = Vec::with_capacity(c.len());
-        let mut prev: Option<Lit> = None;
-        for &l in &c {
-            if let Some(p) = prev {
-                if p == !l {
-                    return true; // tautology: x ∨ ¬x
-                }
-            }
-            match self.lit_value(l) {
-                LBool::True => return true, // already satisfied at level 0
-                LBool::False => {}          // drop
-                LBool::Undef => simplified.push(l),
-            }
-            prev = Some(l);
-        }
-        match simplified.len() {
-            0 => {
+        let mut c = std::mem::take(&mut self.add_buf);
+        c.clear();
+        c.extend(lits);
+        let ok = match self.simplify(&mut c) {
+            None => true,
+            Some(0) => {
                 self.unsat = true;
                 false
             }
-            1 => {
-                self.unchecked_enqueue(simplified[0], None);
+            Some(1) => {
+                self.unchecked_enqueue(c[0], None);
                 if self.propagate().is_some() {
                     self.unsat = true;
                     false
@@ -354,12 +350,41 @@ impl Solver {
                     true
                 }
             }
-            _ => {
-                let cref = self.db.alloc(simplified, false, 0);
+            Some(_) => {
+                let cref = self.db.alloc(&c, false, 0);
                 self.attach(cref);
                 true
             }
+        };
+        self.add_buf = c;
+        ok
+    }
+
+    /// Sorts and deduplicates `c` and strips literals false at level 0,
+    /// in place. `None` if the clause is a tautology or already satisfied
+    /// at level 0; otherwise the number of literals left.
+    fn simplify(&self, c: &mut Vec<Lit>) -> Option<usize> {
+        c.sort_unstable();
+        c.dedup();
+        let mut kept = 0;
+        let mut prev: Option<Lit> = None;
+        for i in 0..c.len() {
+            let l = c[i];
+            if prev == Some(!l) {
+                return None; // tautology: x ∨ ¬x
+            }
+            match self.lit_value(l) {
+                LBool::True => return None, // already satisfied at level 0
+                LBool::False => {}          // drop
+                LBool::Undef => {
+                    c[kept] = l;
+                    kept += 1;
+                }
+            }
+            prev = Some(l);
         }
+        c.truncate(kept);
+        Some(kept)
     }
 
     /// Solves the current formula.
@@ -413,7 +438,7 @@ impl Solver {
             self.stop_cause = Some(StopCause::Deadline);
             return SolveResult::Unknown;
         }
-        self.max_learnts = (self.db.num_original as f64 / 3.0).max(4000.0);
+        self.max_learnts = (self.db.num_original() as f64 / 3.0).max(4000.0);
         let budget_start = self.stats.conflicts;
         let tick_start = self.ticks();
         let mut restart_round = 0u32;
@@ -513,7 +538,7 @@ impl Solver {
                     self.cancel_until(0);
                     return None;
                 }
-                if self.config.db_reduction && self.db.num_learnt as f64 >= self.max_learnts {
+                if self.config.db_reduction && self.db.num_learnt() as f64 >= self.max_learnts {
                     self.reduce_db();
                 }
                 // Place assumptions first, then decide.
@@ -585,7 +610,7 @@ impl Solver {
 
     #[inline]
     fn lit_value(&self, l: Lit) -> LBool {
-        self.assigns[l.var().index()].xor_sign(l.sign())
+        lit_value(&self.assigns, l)
     }
 
     fn pick_branch_lit(&mut self) -> Option<Lit> {
@@ -622,27 +647,16 @@ impl Solver {
             self.order.insert(v, &self.activity);
         }
         self.trail_lim.truncate(target as usize);
-        self.qhead = self.trail.len().min(self.qhead.min(self.trail.len()));
         self.qhead = bound.min(self.trail.len());
     }
 
     // ----------------------------------------------------------- propagation
 
     fn attach(&mut self, cref: ClauseRef) {
-        let c = self.db.get(cref);
-        debug_assert!(c.lits.len() >= 2);
-        let l0 = c.lits[0];
-        let l1 = c.lits[1];
+        let l0 = self.db.lit(cref, 0);
+        let l1 = self.db.lit(cref, 1);
         self.watches[(!l0).index()].push(Watcher { cref, blocker: l1 });
         self.watches[(!l1).index()].push(Watcher { cref, blocker: l0 });
-    }
-
-    fn detach(&mut self, cref: ClauseRef) {
-        let c = self.db.get(cref);
-        let l0 = c.lits[0];
-        let l1 = c.lits[1];
-        self.watches[(!l0).index()].retain(|w| w.cref != cref);
-        self.watches[(!l1).index()].retain(|w| w.cref != cref);
     }
 
     /// Unit propagation; returns the conflicting clause, if any.
@@ -652,44 +666,40 @@ impl Solver {
             self.qhead += 1;
             // Process clauses watching ¬p (stored under index p).
             let mut ws = std::mem::take(&mut self.watches[p.index()]);
+            let false_lit = !p;
             let mut i = 0;
             let mut j = 0;
             let mut conflict = None;
             'watchers: while i < ws.len() {
                 let w = ws[i];
                 i += 1;
-                if self.lit_value(w.blocker).is_true() {
+                if lit_value(&self.assigns, w.blocker).is_true() {
                     ws[j] = w;
                     j += 1;
                     continue;
                 }
                 let cref = w.cref;
                 // Normalize: put the false literal (¬p) at position 1.
-                let false_lit = !p;
-                {
-                    let c = self.db.get_mut(cref);
-                    if c.lits[0] == false_lit {
-                        c.lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(c.lits[1], false_lit);
+                let c = self.db.lits_mut(cref);
+                if c[0] == false_lit.0 {
+                    c.swap(0, 1);
                 }
-                let first = self.db.get(cref).lits[0];
+                debug_assert_eq!(c[1], false_lit.0);
+                let first = Lit(c[0]);
                 let new_watcher = Watcher {
                     cref,
                     blocker: first,
                 };
-                if first != w.blocker && self.lit_value(first).is_true() {
+                if first != w.blocker && lit_value(&self.assigns, first).is_true() {
                     ws[j] = new_watcher;
                     j += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let len = self.db.get(cref).lits.len();
-                for k in 2..len {
-                    let lk = self.db.get(cref).lits[k];
-                    if !self.lit_value(lk).is_false() {
-                        let c = self.db.get_mut(cref);
-                        c.lits.swap(1, k);
+                for k in 2..c.len() {
+                    let lk = Lit(c[k]);
+                    if !lit_value(&self.assigns, lk).is_false() {
+                        c.swap(1, k);
                         self.watches[(!lk).index()].push(new_watcher);
                         continue 'watchers;
                     }
@@ -697,7 +707,7 @@ impl Solver {
                 // No new watch: clause is unit or conflicting.
                 ws[j] = new_watcher;
                 j += 1;
-                if self.lit_value(first).is_false() {
+                if lit_value(&self.assigns, first).is_false() {
                     // Conflict: copy the remaining watchers back and stop.
                     while i < ws.len() {
                         ws[j] = ws[i];
@@ -733,9 +743,10 @@ impl Solver {
 
         loop {
             self.bump_clause(confl);
-            let lits: Vec<Lit> = self.db.get(confl).lits.clone();
-            let skip = usize::from(p.is_some());
-            for &q in lits.iter().skip(skip) {
+            // The reason's first literal is `p` itself (skipped after the
+            // conflict clause); read the rest in place.
+            for k in usize::from(p.is_some())..self.db.len(confl) {
+                let q = self.db.lit(confl, k);
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
@@ -835,8 +846,7 @@ impl Solver {
                 // A decision: an installed assumption the chain rests on.
                 None => core.push(x),
                 Some(cref) => {
-                    let lits: Vec<Lit> = self.db.get(cref).lits.clone();
-                    for &q in &lits {
+                    for q in self.db.lits(cref) {
                         if q.var() != v && self.level[q.var().index()] > 0 {
                             self.seen[q.var().index()] = true;
                         }
@@ -955,7 +965,7 @@ impl Solver {
         let v = l.var();
         match self.reason[v.index()] {
             None => false,
-            Some(r) => self.db.get(r).lits.iter().all(|&q| {
+            Some(r) => self.db.lits(r).all(|q| {
                 q.var() == v || self.seen[q.var().index()] || self.level[q.var().index()] == 0
             }),
         }
@@ -967,7 +977,7 @@ impl Solver {
             self.unchecked_enqueue(learnt[0], None);
         } else {
             let first = learnt[0];
-            let cref = self.db.alloc(learnt, true, lbd);
+            let cref = self.db.alloc(&learnt, true, lbd);
             self.bump_clause(cref);
             self.attach(cref);
             self.unchecked_enqueue(first, Some(cref));
@@ -991,17 +1001,14 @@ impl Solver {
     }
 
     fn bump_clause(&mut self, cref: ClauseRef) {
-        let c = self.db.get_mut(cref);
-        if !c.learnt {
+        if !self.db.is_learnt(cref) {
             return;
         }
-        c.activity += self.cla_inc;
-        if c.activity > RESCALE_LIMIT {
-            let inc = &mut self.cla_inc;
-            *inc *= 1e-100;
-            for r in self.db.learnt_refs().collect::<Vec<_>>() {
-                self.db.get_mut(r).activity *= 1e-100;
-            }
+        let activity = self.db.activity(cref) + self.cla_inc;
+        self.db.set_activity(cref, activity);
+        if activity > RESCALE_LIMIT {
+            self.cla_inc *= 1e-100;
+            self.db.rescale_activities(1e-100);
         }
     }
 
@@ -1017,37 +1024,64 @@ impl Solver {
     /// the reason of a current assignment are kept.
     fn reduce_db(&mut self) {
         self.stats.reductions += 1;
-        let mut learnts: Vec<ClauseRef> = self.db.learnt_refs().collect();
+        let db = &self.db;
+        let mut learnts = db.learnts().to_vec();
+        // Stable sort over allocation order: ties keep their age order.
         learnts.sort_by(|&a, &b| {
-            let ca = self.db.get(a);
-            let cb = self.db.get(b);
-            cb.lbd.cmp(&ca.lbd).then(
-                ca.activity
-                    .partial_cmp(&cb.activity)
+            db.lbd(b).cmp(&db.lbd(a)).then(
+                db.activity(a)
+                    .partial_cmp(&db.activity(b))
                     .unwrap_or(std::cmp::Ordering::Equal),
             )
         });
         let target = learnts.len() / 2;
-        let mut removed = 0;
+        let mut doomed = Vec::with_capacity(target);
         for cref in learnts {
-            if removed >= target {
+            if doomed.len() >= target {
                 break;
             }
-            let c = self.db.get(cref);
-            if c.lits.len() <= 2 || c.lbd <= 2 || self.is_locked(cref) {
+            if self.db.len(cref) <= 2 || self.db.lbd(cref) <= 2 || self.is_locked(cref) {
                 continue;
             }
-            self.detach(cref);
-            self.db.free(cref);
-            removed += 1;
+            doomed.push(cref);
+        }
+        self.db.free_learnts(&doomed);
+        // One order-preserving pass drops every watcher of a freed clause.
+        let db = &self.db;
+        for ws in &mut self.watches {
+            ws.retain(|w| !db.is_deleted(w.cref));
+        }
+        if self.db.needs_compaction() {
+            self.compact();
         }
         self.max_learnts *= 1.3;
     }
 
+    /// Compacts the clause arena and rewrites every ref the solver holds
+    /// (watchers and reasons); watch-list order is unchanged.
+    fn compact(&mut self) {
+        let moved = self.db.compact();
+        for ws in &mut self.watches {
+            for w in ws {
+                w.cref = moved.get(w.cref);
+            }
+        }
+        for r in self.reason.iter_mut().flatten() {
+            *r = moved.get(*r);
+        }
+    }
+
     fn is_locked(&self, cref: ClauseRef) -> bool {
-        let first = self.db.get(cref).lits[0];
+        let first = self.db.lit(cref, 0);
         self.reason[first.var().index()] == Some(cref) && self.lit_value(first).is_true()
     }
+}
+
+/// The value of `l` under `assigns`; a free function so propagation can
+/// read the assignment while it holds a clause mutably.
+#[inline]
+fn lit_value(assigns: &[LBool], l: Lit) -> LBool {
+    assigns[l.var().index()].xor_sign(l.sign())
 }
 
 /// The Luby restart sequence (1,1,2,1,1,2,4,...) scaled by `y`.
@@ -1424,6 +1458,106 @@ mod tests {
         let _ = s.minimize_core(Some(1_000));
         assert_eq!(s.tick_budget, Some(10_000));
         assert_eq!(s.conflict_budget, Some(10_000));
+    }
+
+    /// `true` if the solver's current model satisfies every clause of
+    /// `f` (unassigned variables satisfy no literal).
+    fn satisfies(s: &Solver, f: &[Vec<Lit>]) -> bool {
+        f.iter()
+            .all(|c| c.iter().any(|&l| s.lit_value_model(l) == Some(true)))
+    }
+
+    /// The clause counts agree with the arena, the learnt list is the
+    /// live learnts in arena order, and every live clause is watched
+    /// exactly by the negations of its first two literals.
+    fn assert_db_consistent(s: &Solver) {
+        let live = s.db.live_refs();
+        let learnts: Vec<ClauseRef> = live
+            .iter()
+            .copied()
+            .filter(|&c| s.db.is_learnt(c))
+            .collect();
+        assert_eq!(s.num_learnts(), learnts.len());
+        assert_eq!(s.num_clauses(), live.len() - learnts.len());
+        assert_eq!(s.db.learnts(), &learnts[..]);
+        let mut watched = 0;
+        for (idx, ws) in s.watches.iter().enumerate() {
+            for w in ws {
+                assert!(!s.db.is_deleted(w.cref), "watcher of a freed clause");
+                let watch = !Lit::from_index(idx);
+                assert!(s.db.lit(w.cref, 0) == watch || s.db.lit(w.cref, 1) == watch);
+                watched += 1;
+            }
+        }
+        assert_eq!(watched, 2 * live.len());
+    }
+
+    #[test]
+    fn reductions_and_compaction_keep_answers_sound() {
+        // Near-threshold random 3-SAT solved again and again under
+        // assumptions, with blocking clauses in between: enough conflicts
+        // to cross the learnt-clause limit several times, so reduce_db and
+        // arena compaction run between and inside the solves.
+        let mut rng = crate::xorshift::Rng::new(0xdb_c0de);
+        let vars = 170;
+        let mut s = Solver::new();
+        for _ in 0..vars {
+            s.new_var();
+        }
+        let mut original: Vec<Vec<Lit>> = Vec::new();
+        for _ in 0..724 {
+            let mut c: Vec<Lit> = Vec::with_capacity(3);
+            while c.len() < 3 {
+                let v = Var::from_index(rng.below(vars as u64) as usize);
+                if c.iter().all(|l| l.var() != v) {
+                    c.push(v.lit(rng.bool()));
+                }
+            }
+            s.add_clause(c.iter().copied());
+            original.push(c);
+        }
+        let mut answers = String::new();
+        for _ in 0..16 {
+            let assumptions: Vec<Lit> = (0..3)
+                .map(|_| Var::from_index(rng.below(vars as u64) as usize).lit(rng.bool()))
+                .collect();
+            match s.solve_with(&assumptions) {
+                SolveResult::Sat => {
+                    answers.push('S');
+                    assert!(satisfies(&s, &original), "model violates a clause");
+                    let block: Vec<Lit> = (0..16)
+                        .map(|i| {
+                            let v = Var::from_index(i);
+                            v.lit(!s.value(v).unwrap_or(false))
+                        })
+                        .collect();
+                    s.add_clause(block.iter().copied());
+                    original.push(block);
+                }
+                SolveResult::Unsat => {
+                    answers.push('U');
+                    let core = s.unsat_core().expect("unsat has a core").to_vec();
+                    assert_eq!(s.solve_with(&core), SolveResult::Unsat, "core {core:?}");
+                }
+                SolveResult::Unknown => panic!("no budget was set"),
+            }
+            assert_db_consistent(&s);
+        }
+        assert!(s.db.compactions >= 1, "no compaction ran");
+        assert_eq!(answers, "UUUSSSUUSSSSSUSS");
+        // Pinned before the clause arena replaced the slab: storage must
+        // not change the search.
+        let want = Stats {
+            conflicts: 11857,
+            decisions: 14744,
+            propagations: 546116,
+            learnt_literals: 131083,
+            reductions: 4,
+            solves: 22,
+            restarts: 75,
+            assumed_literals: 66,
+        };
+        assert_eq!(*s.stats(), want);
     }
 
     #[test]
