@@ -8,10 +8,13 @@
 //!   analysis; every load result and test argument is a vector of fresh
 //!   SAT variables.
 //! * **Memory-model formula Θ** — the axioms of §2.3.2. The total memory
-//!   order `<M` is encoded either *pairwise* (variables `Mxy` with
-//!   explicit transitivity clauses, the paper's encoding) or via
-//!   per-event *timestamps* (an equivalent encoding without the cubic
-//!   transitivity blow-up, provided as an ablation). Visibility uses the
+//!   order `<M` is encoded either *pairwise* (variables `Mxy`, the
+//!   paper's encoding) or via per-event *timestamps* (an equivalent
+//!   comparator encoding, provided as an ablation). Pairwise
+//!   transitivity is not emitted as the paper's `2·C(n,3)` clauses: it
+//!   is the solver's native total order
+//!   ([`cf_sat::Solver::add_total_order`]), which builds those clauses
+//!   only as the explanations its search needs. Visibility uses the
 //!   auxiliary `Init`/`Flows` variables described in the paper.
 
 use std::collections::{BTreeMap, HashMap};
@@ -29,14 +32,15 @@ use crate::term::{BTerm, BTermId, VTerm, VTermId};
 /// How the total memory order is encoded.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum OrderEncoding {
-    /// Boolean variables `Mxy` per event pair plus explicit transitivity
-    /// clauses — the paper's encoding (quadratic variables, cubic
-    /// clauses).
+    /// Boolean variables `Mxy` per event pair — the paper's encoding
+    /// (quadratic variables). Transitivity is the solver's native total
+    /// order: no transitivity clause is emitted, and the search builds
+    /// only the paper's clauses it needs as explanations.
     #[default]
     Pairwise,
     /// A `⌈log n⌉`-bit clock per event; `x <M y` is a comparator circuit
-    /// and totality is pairwise distinctness. Equivalent, avoids the
-    /// cubic transitivity clauses.
+    /// and totality is pairwise distinctness. Equivalent, and needs no
+    /// transitivity constraint at all.
     Timestamp,
 }
 
@@ -195,7 +199,12 @@ struct Widths {
 }
 
 enum OrderVars {
-    Pairwise(HashMap<(u32, u32), Lit>),
+    /// `lits[x * n + y]` is the literal of `x <M y`: a pair variable for
+    /// `x < y`, its negation for `x > y`.
+    Pairwise {
+        n: usize,
+        lits: Vec<Lit>,
+    },
     Timestamp(Vec<Vec<Lit>>),
 }
 
@@ -290,7 +299,10 @@ impl Encoding {
             specs: specs.to_vec(),
             provenance,
             axiom_acts: Vec::new(),
-            order: OrderVars::Pairwise(HashMap::new()),
+            order: OrderVars::Pairwise {
+                n: 0,
+                lits: Vec::new(),
+            },
             spec_cache: Vec::new(),
             mode_sel,
             spec_sel,
@@ -513,25 +525,19 @@ impl Encoding {
         let n = sx.events.len();
         match self.order_encoding {
             OrderEncoding::Pairwise => {
-                let mut m = HashMap::new();
-                for x in 0..n as u32 {
-                    for y in x + 1..n as u32 {
-                        m.insert((x, y), self.cnf.fresh());
+                let mut lits = vec![self.cnf.ff(); n * n];
+                for x in 0..n {
+                    for y in x + 1..n {
+                        let l = self.cnf.fresh();
+                        lits[x * n + y] = l;
+                        lits[y * n + x] = !l;
                     }
                 }
-                // Transitivity: two clauses per unordered triple.
-                for i in 0..n as u32 {
-                    for j in i + 1..n as u32 {
-                        for k in j + 1..n as u32 {
-                            let ij = m[&(i, j)];
-                            let jk = m[&(j, k)];
-                            let ik = m[&(i, k)];
-                            self.cnf.clause([!ij, !jk, ik]);
-                            self.cnf.clause([ij, jk, !ik]);
-                        }
-                    }
-                }
-                self.order = OrderVars::Pairwise(m);
+                // Transitivity is the solver's native total order: its
+                // explanations are the paper's two clauses per triple,
+                // built only when the search needs them.
+                self.cnf.solver.add_total_order(n, |x, y| lits[x * n + y]);
+                self.order = OrderVars::Pairwise { n, lits };
             }
             OrderEncoding::Timestamp => {
                 let k = bits_for(n.max(2) as u64 - 1).max(1);
@@ -598,13 +604,7 @@ impl Encoding {
     /// The literal for `x <M y` (event indices).
     pub fn before(&mut self, x: usize, y: usize) -> Lit {
         match &self.order {
-            OrderVars::Pairwise(m) => {
-                if x < y {
-                    m[&(x as u32, y as u32)]
-                } else {
-                    !m[&(y as u32, x as u32)]
-                }
-            }
+            OrderVars::Pairwise { n, lits } => lits[x * n + y],
             OrderVars::Timestamp(ts) => {
                 let a = ts[x].clone();
                 let b = ts[y].clone();
@@ -1277,22 +1277,16 @@ impl Encoding {
 
     /// The executed events sorted by the memory order of the current
     /// model.
-    pub fn memory_order(&mut self) -> Vec<usize> {
+    pub fn memory_order(&self) -> Vec<usize> {
         let n = self.guards.len();
         let mut executed: Vec<usize> = (0..n).filter(|&e| self.event_executed(e)).collect();
         match &self.order {
-            OrderVars::Pairwise(m) => {
-                let m = m.clone();
+            OrderVars::Pairwise { n, lits } => {
                 executed.sort_by(|&a, &b| {
                     if a == b {
                         return std::cmp::Ordering::Equal;
                     }
-                    let lit = if a < b {
-                        m[&(a as u32, b as u32)]
-                    } else {
-                        !m[&(b as u32, a as u32)]
-                    };
-                    if self.cnf.lit_value(lit) {
+                    if self.cnf.lit_value(lits[a * n + b]) {
                         std::cmp::Ordering::Less
                     } else {
                         std::cmp::Ordering::Greater

@@ -4,9 +4,10 @@
 
 use cf_lsl::Value;
 use cf_memmodel::Mode;
+use cf_sat::SolveResult;
 use checkfence::{
-    mine_reference, CheckError, CheckOutcome, Engine, EngineConfig, FailureKind, Harness, ObsSet,
-    OpSig, OrderEncoding, Query, TestSpec,
+    analyze, execute, mine_reference, CheckError, CheckOutcome, Encoding, Engine, EngineConfig,
+    FailureKind, Harness, LoopBounds, ObsSet, OpSig, OrderEncoding, Query, TestSpec,
 };
 
 fn harness(
@@ -56,6 +57,49 @@ fn check(h: &Harness, test: &str, mode: Mode) -> CheckOutcome {
         .expect("outcome")
 }
 
+/// Re-derives a FAIL witness — observation `obs` of `test` on `mode` —
+/// from a pairwise encoding and checks the decoded memory order against
+/// the model: `x` precedes `y` in `memory_order()` exactly when the pair
+/// literal of `x <M y` is true, for every two executed events.
+fn assert_witness_order_matches_pairs(h: &Harness, test: &str, mode: Mode, obs: &[Value]) {
+    let t = TestSpec::parse("t", test).expect("parses");
+    let sx = execute(h, &t, &LoopBounds::new(), 2).expect("executes");
+    let range = analyze(&sx, true);
+    let mut enc = Encoding::build(&sx, &range, mode, OrderEncoding::Pairwise);
+    let mut assumptions = enc.mode_assumptions(mode);
+    for (e, v) in enc.obs.clone().iter().zip(obs) {
+        assumptions.push(enc.enc_eq_const(e, v));
+    }
+    assert_eq!(
+        enc.cnf.solver.solve_with(&assumptions),
+        SolveResult::Sat,
+        "witness {obs:?} reproduces"
+    );
+    assert_eq!(enc.decode_obs(), obs);
+    let order = enc.memory_order();
+    let executed: Vec<usize> = (0..sx.events.len())
+        .filter(|&e| enc.event_executed(e))
+        .collect();
+    let mut sorted = order.clone();
+    sorted.sort_unstable();
+    assert_eq!(
+        sorted, executed,
+        "the memory order lists each executed event once"
+    );
+    for (i, &x) in order.iter().enumerate() {
+        for (j, &y) in order.iter().enumerate() {
+            if i != j {
+                let pair = enc.before(x, y);
+                assert_eq!(
+                    enc.cnf.lit_value(pair),
+                    i < j,
+                    "events {x} and {y} at positions {i} and {j} of {order:?}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn racy_register_is_serializable_with_single_reader() {
     let h = register_harness();
@@ -79,6 +123,7 @@ fn register_read_read_coherence_fails_on_relaxed() {
                 vec![Value::Int(1), Value::Int(1), Value::Int(0)],
                 "observation should be set(1), get->1, get->0; trace:\n{cx}"
             );
+            assert_witness_order_matches_pairs(&h, "( s | gg )", Mode::Relaxed, &cx.obs);
         }
         CheckOutcome::Pass => panic!("expected CoRR failure on Relaxed"),
     }
@@ -144,6 +189,7 @@ fn message_passing_fails_unfenced_on_relaxed() {
             assert_eq!(cx.kind, FailureKind::InconsistentObservation);
             // flag seen (ret = data+1) but data stale (0) => ret = 1.
             assert_eq!(cx.obs, vec![Value::Int(1)], "stale data read; trace:\n{cx}");
+            assert_witness_order_matches_pairs(&h, "( p | c )", Mode::Relaxed, &cx.obs);
         }
         CheckOutcome::Pass => panic!("expected MP failure on Relaxed"),
     }
@@ -212,6 +258,7 @@ fn store_buffering_needs_store_load_fence() {
     match v.into_outcome().expect("outcome") {
         CheckOutcome::Fail(cx) => {
             assert_eq!(cx.obs, vec![Value::Int(0), Value::Int(0)], "trace:\n{cx}");
+            assert_witness_order_matches_pairs(&h, "( l | r )", Mode::Relaxed, &cx.obs);
         }
         CheckOutcome::Pass => panic!("expected store-buffering failure"),
     }
@@ -347,6 +394,7 @@ fn unlocked_counter_loses_increments() {
     match check(&h, "( i | i )", Mode::Sc) {
         CheckOutcome::Fail(cx) => {
             assert_eq!(cx.obs, vec![Value::Int(0), Value::Int(0)], "lost update");
+            assert_witness_order_matches_pairs(&h, "( i | i )", Mode::Sc, &cx.obs);
         }
         CheckOutcome::Pass => panic!("expected lost update on SC"),
     }

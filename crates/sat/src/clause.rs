@@ -25,6 +25,10 @@ use crate::types::Lit;
 pub struct ClauseRef(u32);
 
 impl ClauseRef {
+    /// A ref that names no clause (the arena never reaches this offset),
+    /// used by the solver to tag lazily explained reasons.
+    pub(crate) const SENTINEL: ClauseRef = ClauseRef(u32::MAX);
+
     #[inline]
     fn index(self) -> usize {
         self.0 as usize
@@ -75,8 +79,11 @@ impl ClauseDb {
 
     pub fn alloc(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> ClauseRef {
         debug_assert!(lits.len() >= 2, "unit/empty clauses are not stored");
-        let cref =
-            ClauseRef(u32::try_from(self.arena.len()).expect("clause arena exceeds 2^32 words"));
+        let cref = u32::try_from(self.arena.len())
+            .ok()
+            .filter(|&r| r != ClauseRef::SENTINEL.0)
+            .map(ClauseRef)
+            .expect("clause arena exceeds 2^32 words");
         let len = u32::try_from(lits.len()).expect("clause length fits in u32");
         self.arena.push(len);
         // Clamp so a (practically impossible) huge LBD cannot spill into
@@ -90,6 +97,16 @@ impl ClauseDb {
         } else {
             self.num_original += 1;
         }
+        cref
+    }
+
+    /// Allocates a clause the solver derived and keeps unwatched (an
+    /// order transitivity explanation): stored like a problem clause,
+    /// relocated by [`ClauseDb::compact`], never freed, but not counted
+    /// in [`ClauseDb::num_original`].
+    pub fn alloc_derived(&mut self, lits: &[Lit]) -> ClauseRef {
+        let cref = self.alloc(lits, false, 0);
+        self.num_original -= 1;
         cref
     }
 

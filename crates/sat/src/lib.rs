@@ -16,6 +16,11 @@
 //! "SAT clause storage" section of `DESIGN.md`): a clause reference is a
 //! word offset, so watch visits never chase a per-clause allocation.
 //!
+//! [`Solver::add_total_order`] adds a native strict total order over
+//! pair literals (the memory order `<M` of the encoder), propagated from
+//! a dense matrix instead of the cubic transitivity clauses (see the
+//! "Memory-order transitivity" section of `DESIGN.md`).
+//!
 //! ## Example
 //!
 //! Enumerate the models of `(a ∨ b)`:
@@ -46,6 +51,7 @@
 
 mod clause;
 mod heap;
+mod order;
 mod solver;
 mod stats;
 mod types;

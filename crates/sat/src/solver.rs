@@ -15,9 +15,18 @@
 //! rewriting every watcher and reason. Storage never steers the search:
 //! watch order, literal swaps and reduction order depend only on the
 //! order clauses were added, not on where they live.
+//!
+//! A solver may also carry one native strict total order
+//! ([`Solver::add_total_order`], state in `order.rs`). Transitivity is
+//! then not in the clause database at all: assigning a pair scans a dense
+//! value matrix for the pairs it forces, and an implied pair's reason —
+//! one of the paper's transitivity clauses — is built in the arena,
+//! unwatched, only when conflict analysis needs it. A solver without a
+//! total order searches exactly as before.
 
 use crate::clause::{ClauseDb, ClauseRef};
 use crate::heap::VarHeap;
+use crate::order::{TotalOrder, ORDER_REASON};
 use crate::stats::Stats;
 use crate::types::{LBool, Lit, Var};
 
@@ -153,6 +162,10 @@ pub struct Solver {
 
     cla_inc: f64,
 
+    /// The native total order ([`Solver::add_total_order`]); empty when
+    /// none was added.
+    total_order: TotalOrder,
+
     /// Formula already proven unsatisfiable at level 0.
     unsat: bool,
 
@@ -206,6 +219,7 @@ impl Solver {
             order: VarHeap::new(),
             saved_phase: Vec::new(),
             cla_inc: 1.0,
+            total_order: TotalOrder::default(),
             unsat: false,
             last_core: None,
             seen: Vec::new(),
@@ -254,13 +268,62 @@ impl Solver {
         v
     }
 
+    /// Constrains `n` events to a strict total order. `pair(x, y)`, called
+    /// once for every `x < y`, is the literal of "`x` before `y`"; every
+    /// pair needs a variable of its own. Call it once per solver.
+    ///
+    /// The solver then enforces transitivity natively instead of through
+    /// the `2·C(n,3)` clauses `¬(a<m) ∨ ¬(m<b) ∨ a<b`: when a pair is
+    /// assigned it scans a dense value matrix for the pairs it forces,
+    /// and builds such a clause only when conflict analysis needs it as a
+    /// reason or a conflict. Built clauses count as neither problem nor
+    /// learnt clauses. Pair literals already fixed at level 0 are taken
+    /// into account. Returns `false` if the formula is now known to be
+    /// unsatisfiable.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use cf_sat::{Lit, Solver, SolveResult};
+    /// let mut s = Solver::new();
+    /// // x < y for 0 ≤ x < y < 3
+    /// let p: Vec<Lit> = (0..3).map(|_| s.new_var().positive()).collect();
+    /// let pair = |x: usize, y: usize| p[x + y - 1];
+    /// s.add_total_order(3, pair);
+    /// s.add_clause([!pair(0, 1)]); // 1 < 0
+    /// s.add_clause([!pair(1, 2)]); // 2 < 1
+    /// assert_eq!(s.solve_with(&[pair(0, 2)]), SolveResult::Unsat); // 0 < 2 closes a cycle
+    /// assert_eq!(s.solve(), SolveResult::Sat);
+    /// assert_eq!(s.lit_value_model(pair(0, 2)), Some(false));
+    /// ```
+    pub fn add_total_order(&mut self, n: usize, pair: impl FnMut(usize, usize) -> Lit) -> bool {
+        assert_eq!(self.total_order.n(), 0, "one total order per solver");
+        if self.unsat {
+            return false;
+        }
+        self.cancel_until(0);
+        self.total_order = TotalOrder::new(n, pair);
+        // Seed the matrix from level 0 and walk the trail again so the
+        // pairs already fixed get their order scan.
+        for &l in &self.trail {
+            self.total_order.assign(l);
+        }
+        self.qhead = 0;
+        if self.propagate().is_some() {
+            self.unsat = true;
+            return false;
+        }
+        true
+    }
+
     /// Number of variables created so far.
     pub fn num_vars(&self) -> usize {
         self.assigns.len()
     }
 
     /// Number of live problem clauses (units and empty clauses are absorbed
-    /// into the assignment and the unsat flag and are not counted).
+    /// into the assignment and the unsat flag and are not counted, nor are
+    /// the transitivity clauses built for [`Solver::add_total_order`]).
     pub fn num_clauses(&self) -> usize {
         self.db.num_original()
     }
@@ -629,6 +692,7 @@ impl Solver {
         self.assigns[v.index()] = LBool::from_bool(l.sign());
         self.level[v.index()] = self.decision_level();
         self.reason[v.index()] = from;
+        self.total_order.assign(l);
         self.trail.push(l);
         self.stats.propagations += 1;
     }
@@ -644,6 +708,7 @@ impl Solver {
             self.saved_phase[v.index()] = l.sign();
             self.assigns[v.index()] = LBool::Undef;
             self.reason[v.index()] = None;
+            self.total_order.unassign(v);
             self.order.insert(v, &self.activity);
         }
         self.trail_lim.truncate(target as usize);
@@ -726,8 +791,91 @@ impl Solver {
             if conflict.is_some() {
                 return conflict;
             }
+            if let Some((u, w)) = self.total_order.edge(p) {
+                if let Some(confl) = self.propagate_order(u, w) {
+                    self.qhead = self.trail.len();
+                    return Some(confl);
+                }
+            }
         }
         None
+    }
+
+    /// The order scan for a newly true edge `u < w`: every `w < z` forces
+    /// `u < z` and every `z < u` forces `z < w`. Returns the violated
+    /// transitivity clause when a forced pair is already false.
+    fn propagate_order(&mut self, u: usize, w: usize) -> Option<ClauseRef> {
+        const CHUNK: usize = 64;
+        let n = self.total_order.n();
+        let mut start = 0;
+        while start < n {
+            let end = (start + CHUNK).min(n);
+            if self.total_order.any_forced(u, w, start..end) {
+                for z in start..end {
+                    match (self.total_order.get(u, z), self.total_order.get(w, z)) {
+                        // u < w < z
+                        (0, 1) => self.enqueue_order(u, w, z),
+                        // z < u < w
+                        (-1, 0) => self.enqueue_order(z, u, w),
+                        // u < w < z < u
+                        (-1, 1) => return Some(self.explain_order(u, w, z)),
+                        _ => {}
+                    }
+                }
+            }
+            start = end;
+        }
+        None
+    }
+
+    /// Enqueues `a < b`, implied by `a < m` and `m < b`, with a lazy reason.
+    fn enqueue_order(&mut self, a: usize, m: usize, b: usize) {
+        let l = self.total_order.lit(a, b);
+        self.unchecked_enqueue(l, Some(ORDER_REASON));
+        self.total_order.mid[l.var().index()] = m as u32;
+    }
+
+    /// The transitivity clause `a < m ∧ m < b ⇒ a < b` in the arena with
+    /// `a < b` first, built on first use and cached per cycle. The clause
+    /// is unwatched, so reordering a cached copy is free; it is the
+    /// reason of at most one assigned literal at a time, because its
+    /// other literals are false then.
+    fn explain_order(&mut self, a: usize, m: usize, b: usize) -> ClauseRef {
+        let lits = self.total_order.clause(a, m, b);
+        let key = self.total_order.key(a, m, b);
+        let cref = match self.total_order.explained.get(&key) {
+            Some(&cref) => cref,
+            None => {
+                let cref = self.db.alloc_derived(&lits);
+                self.total_order.explained.insert(key, cref);
+                cref
+            }
+        };
+        let c = self.db.lits_mut(cref);
+        let first = c
+            .iter()
+            .position(|&x| x == lits[0].0)
+            .expect("a cached clause of the same cycle");
+        c.swap(0, first);
+        cref
+    }
+
+    /// The reason clause of the assigned variable `v`, building a lazy
+    /// order explanation (and storing it as `v`'s reason) if needed.
+    fn reason_clause(&mut self, v: Var) -> ClauseRef {
+        let r = self.reason[v.index()].expect("non-decision has a reason");
+        if r != ORDER_REASON {
+            return r;
+        }
+        let l = v.lit(self.assigns[v.index()].is_true());
+        let (a, b) = self
+            .total_order
+            .edge(l)
+            .expect("an order reason is a pair literal");
+        let m = self.total_order.mid[v.index()] as usize;
+        let cref = self.explain_order(a, m, b);
+        self.reason[v.index()] = Some(cref);
+        cref
     }
 
     // -------------------------------------------------------------- analysis
@@ -774,7 +922,7 @@ impl Solver {
                 learnt[0] = !p.expect("found");
                 break;
             }
-            confl = self.reason[pv.index()].expect("non-decision has a reason");
+            confl = self.reason_clause(pv);
         }
 
         // Basic (one-step self-subsumption) minimization.
@@ -845,6 +993,13 @@ impl Solver {
             match self.reason[v.index()] {
                 // A decision: an installed assumption the chain rests on.
                 None => core.push(x),
+                Some(ORDER_REASON) => {
+                    for q in self.total_order.antecedents(x) {
+                        if self.level[q.index()] > 0 {
+                            self.seen[q.index()] = true;
+                        }
+                    }
+                }
                 Some(cref) => {
                     for q in self.db.lits(cref) {
                         if q.var() != v && self.level[q.var().index()] > 0 {
@@ -963,11 +1118,11 @@ impl Solver {
     /// fixed at level 0.
     fn lit_redundant(&self, l: Lit) -> bool {
         let v = l.var();
+        let kept = |q: Var| self.seen[q.index()] || self.level[q.index()] == 0;
         match self.reason[v.index()] {
             None => false,
-            Some(r) => self.db.lits(r).all(|q| {
-                q.var() == v || self.seen[q.var().index()] || self.level[q.var().index()] == 0
-            }),
+            Some(ORDER_REASON) => self.total_order.antecedents(!l).into_iter().all(kept),
+            Some(r) => self.db.lits(r).all(|q| q.var() == v || kept(q.var())),
         }
     }
 
@@ -1058,7 +1213,8 @@ impl Solver {
     }
 
     /// Compacts the clause arena and rewrites every ref the solver holds
-    /// (watchers and reasons); watch-list order is unchanged.
+    /// (watchers, reasons and built order explanations); watch-list order
+    /// is unchanged.
     fn compact(&mut self) {
         let moved = self.db.compact();
         for ws in &mut self.watches {
@@ -1067,7 +1223,12 @@ impl Solver {
             }
         }
         for r in self.reason.iter_mut().flatten() {
-            *r = moved.get(*r);
+            if *r != ORDER_REASON {
+                *r = moved.get(*r);
+            }
+        }
+        for c in self.total_order.explained.values_mut() {
+            *c = moved.get(*c);
         }
     }
 
@@ -1468,8 +1629,9 @@ mod tests {
     }
 
     /// The clause counts agree with the arena, the learnt list is the
-    /// live learnts in arena order, and every live clause is watched
-    /// exactly by the negations of its first two literals.
+    /// live learnts in arena order, every built order explanation is
+    /// live and unwatched, and every other live clause is watched exactly
+    /// by the negations of its first two literals.
     fn assert_db_consistent(s: &Solver) {
         let live = s.db.live_refs();
         let learnts: Vec<ClauseRef> = live
@@ -1477,9 +1639,19 @@ mod tests {
             .copied()
             .filter(|&c| s.db.is_learnt(c))
             .collect();
+        let explained = s.total_order.explained.len();
+        for &c in s.total_order.explained.values() {
+            assert!(live.contains(&c) && !s.db.is_learnt(c) && s.db.len(c) == 3);
+        }
         assert_eq!(s.num_learnts(), learnts.len());
-        assert_eq!(s.num_clauses(), live.len() - learnts.len());
+        assert_eq!(s.num_clauses(), live.len() - learnts.len() - explained);
         assert_eq!(s.db.learnts(), &learnts[..]);
+        for r in s.reason.iter().flatten() {
+            assert!(
+                *r == ORDER_REASON || live.contains(r),
+                "reason of a freed clause"
+            );
+        }
         let mut watched = 0;
         for (idx, ws) in s.watches.iter().enumerate() {
             for w in ws {
@@ -1489,7 +1661,7 @@ mod tests {
                 watched += 1;
             }
         }
-        assert_eq!(watched, 2 * live.len());
+        assert_eq!(watched, 2 * (live.len() - explained));
     }
 
     #[test]
@@ -1558,6 +1730,94 @@ mod tests {
             assumed_literals: 66,
         };
         assert_eq!(*s.stats(), want);
+    }
+
+    #[test]
+    fn order_explanations_survive_reduction_and_compaction() {
+        // Near-threshold random 3-SAT over 12 ordered events and 150 free
+        // variables, one literal in five drawn from the order pairs,
+        // solved under assumptions with blocking clauses in between, so
+        // that reductions and compactions run while order reasons and
+        // built explanations are live.
+        let mut rng = crate::xorshift::Rng::new(0x0de_c0de);
+        let n = 12;
+        let mut s = Solver::new();
+        let pairs: Vec<Lit> = (0..n * (n - 1) / 2)
+            .map(|_| s.new_var().positive())
+            .collect();
+        let free: Vec<Var> = (0..150).map(|_| s.new_var()).collect();
+        let mut index = vec![0; n * n];
+        let mut k = 0;
+        for x in 0..n {
+            for y in x + 1..n {
+                index[x * n + y] = k;
+                k += 1;
+            }
+        }
+        assert!(s.add_total_order(n, |x, y| pairs[index[x * n + y]]));
+        let mut original: Vec<Vec<Lit>> = Vec::new();
+        for _ in 0..680 {
+            let c: Vec<Lit> = (0..3)
+                .map(|_| {
+                    if rng.below(5) == 0 {
+                        pairs[rng.below(pairs.len() as u64) as usize]
+                            .var()
+                            .lit(rng.bool())
+                    } else {
+                        free[rng.below(150) as usize].lit(rng.bool())
+                    }
+                })
+                .collect();
+            s.add_clause(c.iter().copied());
+            original.push(c);
+        }
+        let mut answers = String::new();
+        for _ in 0..24 {
+            let assumptions: Vec<Lit> = (0..3)
+                .map(|_| free[rng.below(150) as usize].lit(rng.bool()))
+                .collect();
+            match s.solve_with(&assumptions) {
+                SolveResult::Sat => {
+                    answers.push('S');
+                    assert!(satisfies(&s, &original), "model violates a clause");
+                    let before = |a: usize, b: usize| {
+                        a != b && s.lit_value_model(s.total_order.lit(a, b)) == Some(true)
+                    };
+                    for x in 0..n {
+                        for y in 0..n {
+                            for z in 0..n {
+                                if before(x, y) && before(y, z) {
+                                    assert!(before(x, z), "{x} < {y} < {z}");
+                                }
+                            }
+                        }
+                    }
+                    let block: Vec<Lit> = free[..12]
+                        .iter()
+                        .map(|&v| v.lit(!s.value(v).unwrap_or(false)))
+                        .collect();
+                    s.add_clause(block.iter().copied());
+                    original.push(block);
+                }
+                SolveResult::Unsat => {
+                    answers.push('U');
+                    let core = s.unsat_core().expect("unsat has a core").to_vec();
+                    assert_eq!(s.solve_with(&core), SolveResult::Unsat, "core {core:?}");
+                }
+                SolveResult::Unknown => panic!("no budget was set"),
+            }
+            assert_db_consistent(&s);
+        }
+        assert!(answers.contains('U'), "{answers}");
+        assert!(
+            s.db.compactions >= 4,
+            "only {} compactions",
+            s.db.compactions
+        );
+        assert!(
+            !s.total_order.explained.is_empty(),
+            "no explanation was built"
+        );
     }
 
     #[test]
