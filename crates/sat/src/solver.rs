@@ -1738,7 +1738,9 @@ mod tests {
         // variables, one literal in five drawn from the order pairs,
         // solved under assumptions with blocking clauses in between, so
         // that reductions and compactions run while order reasons and
-        // built explanations are live.
+        // built explanations are live. Every answer is checked against
+        // the explicit encoding: the same clauses plus the 2·C(n,3)
+        // transitivity clauses on a solver without an order.
         let mut rng = crate::xorshift::Rng::new(0x0de_c0de);
         let n = 12;
         let mut s = Solver::new();
@@ -1755,6 +1757,20 @@ mod tests {
             }
         }
         assert!(s.add_total_order(n, |x, y| pairs[index[x * n + y]]));
+        let mut explicit = Solver::new();
+        while explicit.num_vars() < s.num_vars() {
+            explicit.new_var();
+        }
+        // Each cycle once, rotated to start at its smallest event.
+        for a in 0..n {
+            for m in a + 1..n {
+                for b in a + 1..n {
+                    if m != b {
+                        explicit.add_clause(s.total_order.clause(a, m, b));
+                    }
+                }
+            }
+        }
         let mut original: Vec<Vec<Lit>> = Vec::new();
         for _ in 0..680 {
             let c: Vec<Lit> = (0..3)
@@ -1769,6 +1785,7 @@ mod tests {
                 })
                 .collect();
             s.add_clause(c.iter().copied());
+            explicit.add_clause(c.iter().copied());
             original.push(c);
         }
         let mut answers = String::new();
@@ -1776,7 +1793,10 @@ mod tests {
             let assumptions: Vec<Lit> = (0..3)
                 .map(|_| free[rng.below(150) as usize].lit(rng.bool()))
                 .collect();
-            match s.solve_with(&assumptions) {
+            let expect = explicit.solve_with(&assumptions);
+            let got = s.solve_with(&assumptions);
+            assert_eq!(got, expect, "native and explicit orders disagree");
+            match got {
                 SolveResult::Sat => {
                     answers.push('S');
                     assert!(satisfies(&s, &original), "model violates a clause");
@@ -1797,6 +1817,7 @@ mod tests {
                         .map(|&v| v.lit(!s.value(v).unwrap_or(false)))
                         .collect();
                     s.add_clause(block.iter().copied());
+                    explicit.add_clause(block.iter().copied());
                     original.push(block);
                 }
                 SolveResult::Unsat => {
@@ -1808,7 +1829,7 @@ mod tests {
             }
             assert_db_consistent(&s);
         }
-        assert!(answers.contains('U'), "{answers}");
+        assert!(answers.contains('S') && answers.contains('U'), "{answers}");
         assert!(
             s.db.compactions >= 4,
             "only {} compactions",

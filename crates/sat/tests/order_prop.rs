@@ -2,9 +2,10 @@
 //! on random instances over at most seven events it must agree with the
 //! explicit `2·C(n,3)`-clause encoding and with brute force over every
 //! permutation, return only strict total orders, and return unsat cores
-//! that reproduce their answer. One larger run drives the learnt-clause
-//! reduction (and with it arena compaction) while order reasons and built
-//! explanation clauses are live.
+//! that reproduce their answer. The run that drives learnt-clause
+//! reduction and arena compaction while order reasons are live is the
+//! solver's unit test `order_explanations_survive_reduction_and_compaction`,
+//! which can also check the arena's invariants.
 
 use cf_sat::xorshift::Rng;
 use cf_sat::{Lit, SolveResult, Solver, Var};
@@ -355,58 +356,4 @@ fn level_zero_pairs_before_the_order_are_seeded() {
     s.add_clause([!p[1]]);
     assert!(!s.add_total_order(3, |x, y| p[x + y - 1]));
     assert_eq!(s.solve(), SolveResult::Unsat);
-}
-
-#[test]
-fn reductions_with_live_order_reasons_keep_answers_sound() {
-    // Near-threshold random 3-SAT over 12 events and 150 free variables,
-    // with about one literal in eight an order pair, solved again and
-    // again under assumptions with blocking clauses in between: enough
-    // conflicts to cross the learnt-clause limit several times (a
-    // reduction that frees enough words also compacts the arena) while
-    // order-implied literals and built transitivity clauses are live.
-    // Every answer is checked against the explicit encoding.
-    let mut rng = Rng::new(0x0d_e9);
-    let inst = Instance::random(&mut rng, 12, 150, 0, 1);
-    let mut clauses = Vec::new();
-    for _ in 0..640 {
-        let clause = (0..3).map(|_| {
-            if rng.below(100) < 20 {
-                inst.random_lit(&mut rng)
-            } else {
-                inst.extra[rng.below(150) as usize].lit(rng.bool())
-            }
-        });
-        clauses.push(clause.collect::<Vec<Lit>>());
-    }
-    let inst = Instance { clauses, ..inst };
-    let mut native = inst.native();
-    let mut explicit = inst.explicit();
-    let mut blocked: Vec<Vec<Lit>> = Vec::new();
-    let mut answers = String::new();
-    for _ in 0..24 {
-        let assumptions = inst.random_assumptions(&mut rng);
-        let expect = explicit.solve_with(&assumptions) == SolveResult::Sat;
-        solve_checked(&inst, &mut native, &assumptions, &blocked, expect);
-        answers.push(if expect { 'S' } else { 'U' });
-        if expect {
-            let block: Vec<Lit> = inst
-                .extra
-                .iter()
-                .take(12)
-                .map(|&v| v.lit(!native.value(v).unwrap_or(false)))
-                .collect();
-            native.add_clause(block.iter().copied());
-            explicit.add_clause(block.iter().copied());
-            blocked.push(block);
-        }
-    }
-    assert!(answers.contains('S') && answers.contains('U'), "{answers}");
-    assert!(
-        native.stats().reductions >= 4,
-        "only {} reductions",
-        native.stats().reductions
-    );
-    // Built explanations are not counted as problem clauses.
-    assert!(native.num_clauses() <= inst.clauses.len() + blocked.len());
 }

@@ -336,6 +336,12 @@ fn dynamic_ok(dynamic: &[&Axiom], prog: &Prog, pos: &[usize], rf_src: &[Option<u
 /// Panics if the trace has more than 12 accesses (the search is
 /// factorial; the SAT path handles bigger programs).
 pub fn trace_allowed(trace: &ConcreteTrace, spec: &ModelSpec) -> bool {
+    replay(trace, spec, true).0
+}
+
+/// [`trace_allowed`]'s answer and the number of order prefixes its
+/// search visited, with or without value pruning.
+fn replay(trace: &ConcreteTrace, spec: &ModelSpec, prune_values: bool) -> (bool, u64) {
     let mut events = Vec::new();
     let mut values = Vec::new();
     let mut fences = Vec::new();
@@ -379,76 +385,155 @@ pub fn trace_allowed(trace: &ConcreteTrace, spec: &ModelSpec) -> bool {
     let prog = Prog { events, fences };
     let compiled = compile_static(spec, &prog);
     if compiled.impossible {
-        return false;
+        return (false, 0);
     }
     let n = prog.events.len();
-    let mut order = Vec::with_capacity(n);
-    let mut used = vec![false; n];
-    search_trace(
-        &prog,
-        &values,
-        &trace.init,
+    let mut search = TraceSearch {
+        prog: &prog,
+        values: &values,
+        init: &trace.init,
         spec,
-        &compiled,
-        &mut order,
-        &mut used,
-    )
+        compiled: &compiled,
+        prune_values,
+        nodes: 0,
+    };
+    let allowed = search.run(&mut Vec::with_capacity(n), &mut vec![false; n]);
+    (allowed, search.nodes)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn search_trace(
-    prog: &Prog,
-    values: &[Value],
-    init: &HashMap<Vec<u32>, Value>,
-    spec: &ModelSpec,
-    compiled: &CompiledStatic<'_>,
-    order: &mut Vec<usize>,
-    used: &mut Vec<bool>,
-) -> bool {
-    let n = prog.events.len();
-    if order.len() == n {
-        let pos = positions(order);
-        let Some(rf_src) = trace_values_ok(prog, values, init, &pos, spec.forwarding) else {
-            return false;
-        };
-        return dynamic_ok(&compiled.dynamic, prog, &pos, &rf_src);
-    }
-    'next: for c in 0..n {
-        if used[c] {
-            continue;
+/// The order search behind [`trace_allowed`]: extends a prefix of the
+/// memory order one event at a time, respecting the static edges and
+/// atomic groups, and checks values and dynamic axioms at each leaf.
+struct TraceSearch<'a> {
+    prog: &'a Prog,
+    values: &'a [Value],
+    init: &'a HashMap<Vec<u32>, Value>,
+    spec: &'a ModelSpec,
+    compiled: &'a CompiledStatic<'a>,
+    /// Cut a prefix as soon as one of its loads must read a wrong value
+    /// ([`values_possible`]); off only to cross-check the pruning.
+    prune_values: bool,
+    /// Prefixes visited so far.
+    nodes: u64,
+}
+
+impl TraceSearch<'_> {
+    fn run(&mut self, order: &mut Vec<usize>, used: &mut Vec<bool>) -> bool {
+        self.nodes += 1;
+        let prog = self.prog;
+        let n = prog.events.len();
+        if order.len() == n {
+            let pos = positions(order);
+            let Some(rf_src) =
+                trace_values_ok(prog, self.values, self.init, &pos, self.spec.forwarding)
+            else {
+                return false;
+            };
+            return dynamic_ok(&self.compiled.dynamic, prog, &pos, &rf_src);
         }
-        for &(a, b) in &compiled.edges {
-            if b == c && !used[a] {
-                continue 'next;
+        'next: for c in 0..n {
+            if used[c] {
+                continue;
             }
-        }
-        // Atomic group contiguity (as in the legacy oracle): an open
-        // group must finish before anything else runs.
-        if let Some(&last) = order.last() {
-            let open_group = prog.events[last].group.filter(|g| {
-                prog.events.iter().enumerate().any(|(i, e)| {
-                    !used[i] && e.group == Some(*g) && e.thread == prog.events[last].thread
-                })
-            });
-            if let Some(g) = open_group {
-                if prog.events[c].group != Some(g)
-                    || prog.events[c].thread != prog.events[last].thread
-                {
+            for &(a, b) in &self.compiled.edges {
+                if b == c && !used[a] {
                     continue 'next;
                 }
             }
-        }
-        used[c] = true;
-        order.push(c);
-        if search_trace(prog, values, init, spec, compiled, order, used) {
+            // Atomic group contiguity (as in the legacy oracle): an open
+            // group must finish before anything else runs.
+            if let Some(&last) = order.last() {
+                let open_group = prog.events[last].group.filter(|g| {
+                    prog.events.iter().enumerate().any(|(i, e)| {
+                        !used[i] && e.group == Some(*g) && e.thread == prog.events[last].thread
+                    })
+                });
+                if let Some(g) = open_group {
+                    if prog.events[c].group != Some(g)
+                        || prog.events[c].thread != prog.events[last].thread
+                    {
+                        continue 'next;
+                    }
+                }
+            }
+            if self.prune_values
+                && !values_possible(
+                    prog,
+                    self.values,
+                    self.init,
+                    order,
+                    used,
+                    c,
+                    self.spec.forwarding,
+                )
+            {
+                continue 'next;
+            }
+            used[c] = true;
+            order.push(c);
+            let found = self.run(order, used);
             used[c] = false;
             order.pop();
-            return true;
+            if found {
+                return true;
+            }
         }
-        used[c] = false;
-        order.pop();
+        false
     }
-    false
+}
+
+/// Whether every load can still read its annotated value once event `c`
+/// is placed next after the prefix `order`. Events placed later come
+/// after `c` in the memory order, so:
+///
+/// - a load `c` with no unplaced store that may forward to it (same
+///   thread, earlier in program order, same address) reads the last
+///   placed store to its address, or the initial value;
+/// - a load still unplaced after a store `c` to its address reads `c` or
+///   a store placed later, whatever forwarding does.
+///
+/// Both are what [`trace_values_ok`] finds for every completion of the
+/// prefix, so pruning on a mismatch only skips orders that would fail at
+/// the leaf.
+fn values_possible(
+    prog: &Prog,
+    values: &[Value],
+    init: &HashMap<Vec<u32>, Value>,
+    order: &[usize],
+    used: &[bool],
+    c: usize,
+    forwarding: bool,
+) -> bool {
+    let ec = &prog.events[c];
+    let n = prog.events.len();
+    let store_to = |s: usize, addr: &[u32]| {
+        let es = &prog.events[s];
+        es.kind == AccessKind::Store && es.addr == addr
+    };
+    if ec.kind == AccessKind::Store {
+        return (0..n).all(|l| {
+            let el = &prog.events[l];
+            used[l]
+                || el.kind != AccessKind::Load
+                || el.addr != ec.addr
+                || values[l] == values[c]
+                || (0..n)
+                    .any(|s| s != c && !used[s] && store_to(s, &ec.addr) && values[s] == values[l])
+        });
+    }
+    let may_forward = |s: usize| {
+        let es = &prog.events[s];
+        store_to(s, &ec.addr) && es.thread == ec.thread && es.pos < ec.pos
+    };
+    if forwarding && (0..n).any(|s| !used[s] && may_forward(s)) {
+        return true;
+    }
+    match order.iter().rev().find(|&&s| store_to(s, &ec.addr)) {
+        Some(&s) => values[c] == values[s],
+        None => init
+            .get(&ec.addr)
+            .map_or(values[c] == Value::Undefined, |v| values[c] == *v),
+    }
 }
 
 fn positions(order: &[usize]) -> Vec<usize> {
@@ -886,5 +971,169 @@ mod tests {
             !trace_allowed(&mk(0), &relaxed),
             "fenced MP forbids stale read"
         );
+    }
+
+    /// A small deterministic generator for the randomized trace tests.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (self.0 >> 33) % n
+        }
+    }
+
+    fn access(kind: AccessKind, addr: u32, value: i64, ord: MemOrder) -> TraceItem {
+        TraceItem::Access {
+            kind,
+            addr: vec![addr],
+            value: cf_lsl::Value::Int(value),
+            group: None,
+            ord,
+        }
+    }
+
+    #[test]
+    fn value_pruning_keeps_every_answer() {
+        // Random traces of up to seven accesses over two addresses, with
+        // fences and C11 annotations, under every bundled spec: the
+        // pruned search answers exactly as the plain one and never
+        // visits more prefixes.
+        use crate::bundled;
+        use cf_lsl::Value;
+        let specs: Vec<ModelSpec> = [
+            bundled::SERIAL,
+            bundled::SC,
+            bundled::TSO,
+            bundled::PSO,
+            bundled::RELAXED,
+            bundled::C11,
+            bundled::RC11,
+        ]
+        .iter()
+        .map(|src| compile(src).expect("bundled spec compiles"))
+        .collect();
+        let fences = [
+            FenceKind::LoadLoad,
+            FenceKind::LoadStore,
+            FenceKind::StoreLoad,
+            FenceKind::StoreStore,
+        ];
+        let mut rng = Lcg(0x5eed);
+        let (mut allowed, mut pruned_nodes, mut plain_nodes) = (0, 0, 0);
+        for _ in 0..300 {
+            let mut accesses = 0;
+            let threads: Vec<Vec<TraceItem>> = (0..2 + rng.below(2))
+                .map(|_| {
+                    (0..1 + rng.below(3))
+                        .filter_map(|_| {
+                            if rng.below(6) == 0 {
+                                return Some(TraceItem::Fence(fences[rng.below(4) as usize]));
+                            }
+                            if accesses == 7 {
+                                return None;
+                            }
+                            accesses += 1;
+                            let addr = rng.below(2) as u32;
+                            Some(if rng.below(2) == 0 {
+                                let ord = [MemOrder::Plain, MemOrder::Release, MemOrder::SeqCst]
+                                    [rng.below(3) as usize];
+                                access(AccessKind::Store, addr, 1 + rng.below(2) as i64, ord)
+                            } else {
+                                let ord = [MemOrder::Plain, MemOrder::Acquire, MemOrder::SeqCst]
+                                    [rng.below(3) as usize];
+                                access(AccessKind::Load, addr, rng.below(3) as i64, ord)
+                            })
+                        })
+                        .collect()
+                })
+                .collect();
+            let trace = ConcreteTrace {
+                threads,
+                init: HashMap::from([(vec![0], Value::Int(0)), (vec![1], Value::Int(0))]),
+            };
+            for spec in &specs {
+                let (ok, pruned) = replay(&trace, spec, true);
+                let (want, plain) = replay(&trace, spec, false);
+                assert_eq!(ok, want, "{} on {trace:?}", spec.name);
+                assert!(pruned <= plain, "{} on {trace:?}", spec.name);
+                allowed += usize::from(ok);
+                pruned_nodes += pruned;
+                plain_nodes += plain;
+            }
+        }
+        let checks = 300 * specs.len();
+        assert!(
+            allowed > checks / 10 && allowed < checks * 9 / 10,
+            "{allowed}"
+        );
+        assert!(
+            pruned_nodes * 2 < plain_nodes,
+            "{pruned_nodes} vs {plain_nodes}"
+        );
+    }
+
+    #[test]
+    fn value_pruning_waits_for_forwarding_stores() {
+        // Store buffering where each thread reads its own store early:
+        // TSO allows it only with each such load placed before the store
+        // it forwards from, so the pruning must not judge a load while a
+        // store that may forward to it is still unplaced.
+        use cf_lsl::Value;
+        let thread = |own: u32, other: u32| {
+            vec![
+                access(AccessKind::Store, own, 1, MemOrder::Plain),
+                access(AccessKind::Load, own, 1, MemOrder::Plain),
+                access(AccessKind::Load, other, 0, MemOrder::Plain),
+            ]
+        };
+        let trace = ConcreteTrace {
+            threads: vec![thread(0, 1), thread(1, 0)],
+            init: HashMap::from([(vec![0], Value::Int(0)), (vec![1], Value::Int(0))]),
+        };
+        let tso = compile(crate::bundled::TSO).expect("bundled tso compiles");
+        assert!(replay(&trace, &tso, false).0);
+        assert!(trace_allowed(&trace, &tso));
+        let sc = compile(crate::bundled::SC).expect("bundled sc compiles");
+        assert!(!trace_allowed(&trace, &sc));
+    }
+
+    #[test]
+    fn value_pruning_bounds_the_replay_of_a_large_trace() {
+        // Twelve accesses: three threads each store their own value to
+        // one location and load two of the others'. Without axioms every
+        // order of the twelve is a candidate (12! leaves); the annotated
+        // values pin which store each load follows, so the pruned search
+        // must decide the trace from a small part of that space. This
+        // is the shape of the serializability replay behind
+        // counterexample reports, which removes axioms one at a time.
+        use cf_lsl::Value;
+        let thread = |t: u32| {
+            let (a, b) = ((t + 1) % 3, (t + 2) % 3);
+            vec![
+                access(AccessKind::Store, t, i64::from(t) + 1, MemOrder::Plain),
+                access(AccessKind::Load, a, i64::from(a) + 1, MemOrder::Plain),
+                access(AccessKind::Store, t + 3, i64::from(t) + 1, MemOrder::Plain),
+                access(AccessKind::Load, b + 3, 0, MemOrder::Plain),
+            ]
+        };
+        let trace = ConcreteTrace {
+            threads: (0..3).map(thread).collect(),
+            init: (0..6).map(|l| (vec![l], Value::Int(0))).collect(),
+        };
+        let bare = compile("model bare").expect("checks");
+        let sc = compile(crate::bundled::SC).expect("bundled sc compiles");
+        let (allowed, nodes) = replay(&trace, &bare, true);
+        assert!(allowed);
+        assert!(nodes < 1_000, "{nodes} prefixes");
+        let (allowed, nodes) = replay(&trace, &sc, true);
+        assert!(
+            !allowed,
+            "each thread reads a store the next one makes later"
+        );
+        assert!(nodes < 1_000, "{nodes} prefixes");
     }
 }
