@@ -5,7 +5,7 @@
 //! kinds, reordering adjacent operations — and confirming that every
 //! injected bug is caught. This driver reproduces those experiments on
 //! the batched mutation engine ([`checkfence::mutate`]): one
-//! [`CheckSession`](checkfence::CheckSession) encoding per (subject,
+//! [`Engine`](checkfence::Engine) session encoding per (subject,
 //! test) answers the whole mutant × model matrix through assumptions,
 //! under all five built-in models *and* any user `.cfm` specs supplied.
 //!

@@ -14,11 +14,6 @@
 //!    hardware models;
 //! 3. amortization: every session matrix above answers from one
 //!    symbolic execution and one encoding.
-//!
-//! Equivalence suites are the sanctioned callers of the deprecated
-//! method grid (the shims must stay verdict-identical to the query
-//! engine and the one-shot oracles), hence the targeted allow.
-#![allow(deprecated)]
 
 use cf_algos::{ms2, tests, treiber, Variant};
 use cf_memmodel::{Mode, ModeSet};
@@ -27,7 +22,7 @@ use checkfence::mutate::{
     run_mutation_matrix, run_mutation_matrix_oneshot, MatrixConfig, MutationConfig, MutationPlan,
 };
 use checkfence::{
-    CheckConfig, CheckSession, Checker, Harness, ModelSel, OpSig, SessionConfig, TestSpec,
+    mine_reference, oracle, CheckConfig, Engine, EngineConfig, Harness, OpSig, Query, TestSpec,
 };
 
 fn harness(name: &str, source: &str, ops: Vec<OpSig>) -> Harness {
@@ -135,16 +130,18 @@ fn toggles_off_is_observation_equivalent_to_the_original() {
             init_proc: h.init_proc.clone(),
             ops: h.ops.clone(),
         };
-        let config = SessionConfig::from_check_config(&CheckConfig::default(), ModeSet::hardware());
-        let mut session = CheckSession::with_config(&instrumented, &t, config);
+        let config = CheckConfig::default();
+        let mut engine = Engine::new(EngineConfig::from_check_config(
+            &config,
+            ModeSet::hardware(),
+        ));
         for mode in Mode::hardware() {
-            let gated = session
-                .enumerate_observations_toggled(ModelSel::Builtin(mode), &[])
-                .expect("gated enumeration");
-            let plain = Checker::new(&h, &t)
-                .with_memory_model(mode)
-                .enumerate_observations_oneshot(mode)
-                .expect("one-shot enumeration");
+            let gated = engine
+                .run(&Query::enumerate(&instrumented, &t).on(mode))
+                .expect("gated enumeration")
+                .into_observations()
+                .expect("observations");
+            let plain = oracle::enumerate(&h, &t, mode, &config).expect("one-shot enumeration");
             assert_eq!(
                 gated.vectors,
                 plain.vectors,
@@ -153,7 +150,7 @@ fn toggles_off_is_observation_equivalent_to_the_original() {
                 mode.name()
             );
         }
-        assert_eq!(session.stats().encodes, 1);
+        assert_eq!(engine.stats().encodes, 1);
     }
 }
 
@@ -170,18 +167,18 @@ fn assert_random_subset_equiv(h: &Harness, t: &TestSpec, mutation: &MutationConf
             picked.push(id);
         }
     }
-    let spec = Checker::new(h, t)
-        .mine_spec_reference()
-        .expect("mines")
-        .spec;
+    let spec = mine_reference(h, t).expect("mines").spec;
     let instrumented = Harness {
         name: format!("{}+mutants", h.name),
         program: plan.instrumented.clone(),
         init_proc: h.init_proc.clone(),
         ops: h.ops.clone(),
     };
-    let config = SessionConfig::from_check_config(&CheckConfig::default(), ModeSet::hardware());
-    let mut session = CheckSession::with_config(&instrumented, t, config);
+    let config = CheckConfig::default();
+    let mut engine = Engine::new(EngineConfig::from_check_config(
+        &config,
+        ModeSet::hardware(),
+    ));
     for &id in &picked {
         let mutant = Harness {
             name: format!("{}+m{id}", h.name),
@@ -190,12 +187,14 @@ fn assert_random_subset_equiv(h: &Harness, t: &TestSpec, mutation: &MutationConf
             ops: h.ops.clone(),
         };
         for mode in Mode::hardware() {
-            let s = session
-                .check_inclusion_toggled(ModelSel::Builtin(mode), &spec, &[id])
-                .map(|r| r.outcome.passed());
-            let o = Checker::new(&mutant, t)
-                .with_memory_model(mode)
-                .check_inclusion_oneshot(&spec)
+            let s = engine
+                .run(
+                    &Query::check_inclusion(&instrumented, t, spec.clone())
+                        .on(mode)
+                        .with_toggles(&[id]),
+                )
+                .map(|v| v.passed());
+            let o = oracle::check_inclusion(&mutant, t, mode, &spec, &config)
                 .map(|r| r.outcome.passed());
             match (s, o) {
                 (Ok(a), Ok(b)) => assert_eq!(
@@ -211,7 +210,7 @@ fn assert_random_subset_equiv(h: &Harness, t: &TestSpec, mutation: &MutationConf
             }
         }
     }
-    assert_eq!(session.stats().encodes, 1, "{}: one encode", h.name);
+    assert_eq!(engine.stats().encodes, 1, "{}: one encode", h.name);
 }
 
 #[test]

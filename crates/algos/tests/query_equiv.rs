@@ -1,24 +1,19 @@
-//! Randomized query/legacy/oneshot equivalence: mixed [`Query`] batches
-//! over treiber/ms2 answered by [`Engine::run_batch`] must return
-//! exactly the verdicts of (a) the deprecated `CheckSession` method
-//! grid and (b) the pre-session `*_oneshot` oracles — shim ≡ query ≡
-//! oneshot, on every sampled point of the (kind × model × toggles)
-//! space.
+//! Randomized query/oneshot equivalence: mixed [`Query`] batches over
+//! treiber/ms2 answered by [`Engine::run_batch`] must return exactly the
+//! verdicts of the one-shot [`oracle`]s on concretely mutated builds —
+//! query ≡ oneshot, on every sampled point of the (kind × model ×
+//! toggles) space.
 //!
 //! The generator is a deterministic xorshift (matching the
 //! `mutation_equiv.rs` style), so failures replay bit for bit.
-//!
-//! Equivalence suites are the sanctioned callers of the deprecated
-//! method grid, hence the targeted allow.
-#![allow(deprecated)]
 
 use cf_algos::{ms2, tests, treiber, Variant};
 use cf_memmodel::{Mode, ModeSet};
 use cf_sat::xorshift::Rng;
 use checkfence::mutate::{MutationConfig, MutationPlan};
 use checkfence::{
-    mine_reference, CheckConfig, CheckOutcome, CheckSession, Checker, Engine, EngineConfig,
-    Harness, ModelSel, ObsSet, Query, SessionConfig, TestSpec,
+    mine_reference, oracle, CheckConfig, CheckOutcome, Engine, EngineConfig, Harness, ObsSet,
+    Query, TestSpec,
 };
 
 /// What a query answered, reduced to comparable data.
@@ -74,8 +69,9 @@ fn sample(rng: &mut Rng, max_site: u32) -> Sample {
     }
 }
 
-/// Runs the sampled batch through all three paths on one subject.
-fn assert_three_way_equivalence(h: &Harness, t: &TestSpec, seed: u64, n: usize) {
+/// Runs the sampled batch through the engine and the oracles on one
+/// subject.
+fn assert_oneshot_equivalence(h: &Harness, t: &TestSpec, seed: u64, n: usize) {
     let plan = MutationPlan::build(
         &h.program,
         &MutationConfig {
@@ -146,37 +142,7 @@ fn assert_three_way_equivalence(h: &Harness, t: &TestSpec, seed: u64, n: usize) 
     let stats = engine.stats();
     assert_eq!(stats.encodes as usize, stats.sessions, "{}", h.name);
 
-    // Path 2: the deprecated CheckSession method grid, sequentially on
-    // one legacy session.
-    let mut session = CheckSession::with_config(
-        &instrumented,
-        t,
-        SessionConfig::from_check_config(&CheckConfig::default(), ModeSet::all()),
-    );
-    for (i, s) in samples.iter().enumerate() {
-        let legacy = if s.check {
-            fold(
-                session.check_inclusion_toggled(ModelSel::Builtin(s.mode), &spec, &s.toggles),
-                |r| of_outcome(&r.outcome),
-            )
-        } else {
-            fold(
-                session.enumerate_observations_toggled(ModelSel::Builtin(s.mode), &s.toggles),
-                Outcome::Obs,
-            )
-        };
-        assert_eq!(
-            engine_outcomes[i],
-            legacy,
-            "{}/{} sample {i}: engine and legacy shim disagree (mode {}, toggles {:?})",
-            h.name,
-            t.name,
-            s.mode.name(),
-            s.toggles
-        );
-    }
-
-    // Path 3: the one-shot oracles on concretely mutated builds.
+    // Path 2: the one-shot oracles on concretely mutated builds.
     for (i, s) in samples.iter().enumerate() {
         let build = match s.toggles.first() {
             None => h.clone(),
@@ -187,13 +153,14 @@ fn assert_three_way_equivalence(h: &Harness, t: &TestSpec, seed: u64, n: usize) 
                 ops: h.ops.clone(),
             },
         };
-        let checker = Checker::new(&build, t).with_memory_model(s.mode);
+        let config = CheckConfig::default();
         let oneshot = if s.check {
-            fold(checker.check_inclusion_oneshot(&spec), |r| {
-                of_outcome(&r.outcome)
-            })
+            fold(
+                oracle::check_inclusion(&build, t, s.mode, &spec, &config),
+                |r| of_outcome(&r.outcome),
+            )
         } else {
-            fold(checker.enumerate_observations_oneshot(s.mode), Outcome::Obs)
+            fold(oracle::enumerate(&build, t, s.mode, &config), Outcome::Obs)
         };
         assert_eq!(
             engine_outcomes[i],
@@ -208,21 +175,21 @@ fn assert_three_way_equivalence(h: &Harness, t: &TestSpec, seed: u64, n: usize) 
 }
 
 #[test]
-fn treiber_random_query_batches_match_legacy_and_oneshot() {
+fn treiber_random_query_batches_match_oneshot() {
     let h = treiber::harness(Variant::Fenced);
     let t = tests::by_name("U0").expect("catalog");
-    assert_three_way_equivalence(&h, &t, 0x5EED_CAFE, 10);
+    assert_oneshot_equivalence(&h, &t, 0x5EED_CAFE, 10);
 }
 
 #[test]
-fn ms2_random_query_batches_match_legacy_and_oneshot() {
+fn ms2_random_query_batches_match_oneshot() {
     let h = ms2::harness(Variant::Fenced);
     let t = tests::by_name("T0").expect("catalog");
-    assert_three_way_equivalence(&h, &t, 0xFACE_FEED, 10);
+    assert_oneshot_equivalence(&h, &t, 0xFACE_FEED, 10);
 }
 
 #[test]
-fn mining_queries_match_the_legacy_and_oneshot_paths() {
+fn mining_queries_match_the_oneshot_oracle() {
     for h in [
         treiber::harness(Variant::Fenced),
         ms2::harness(Variant::Fenced),
@@ -238,18 +205,15 @@ fn mining_queries_match_the_legacy_and_oneshot_paths() {
             .expect("engine mining")
             .into_observations()
             .expect("observations");
-        let legacy = CheckSession::new(&h, &t).mine_spec().expect("legacy").spec;
-        let oneshot = Checker::new(&h, &t)
-            .mine_spec_oneshot()
+        let oneshot = oracle::mine(&h, &t, &CheckConfig::default())
             .expect("oneshot")
             .spec;
-        assert_eq!(query, legacy, "{}: engine vs legacy mining", h.name);
         assert_eq!(query, oneshot, "{}: engine vs one-shot mining", h.name);
     }
 }
 
 #[test]
-fn commit_queries_match_the_legacy_and_oneshot_paths() {
+fn commit_queries_match_the_oneshot_oracle() {
     use checkfence::commit::AbstractType;
     let h = treiber::harness(Variant::Fenced);
     let t = tests::by_name("U0").expect("catalog");
@@ -258,24 +222,13 @@ fn commit_queries_match_the_legacy_and_oneshot_paths() {
             .on(mode)
             .run()
             .expect("engine commit");
-        let legacy = CheckSession::new(&h, &t)
-            .check_commit_method(mode, AbstractType::Stack)
-            .expect("legacy commit");
-        let oneshot = Checker::new(&h, &t)
-            .with_memory_model(mode)
-            .check_commit_method_oneshot(AbstractType::Stack)
-            .expect("oneshot commit");
+        let oneshot =
+            oracle::commit_method(&h, &t, mode, AbstractType::Stack, &CheckConfig::default())
+                .expect("oneshot commit");
         assert_eq!(
             of_outcome(query.outcome().expect("outcome")),
-            of_outcome(&legacy.outcome),
-            "{}: engine vs legacy commit on {}",
-            h.name,
-            mode.name()
-        );
-        assert_eq!(
-            of_outcome(&legacy.outcome),
             of_outcome(&oneshot.outcome),
-            "{}: legacy vs one-shot commit on {}",
+            "{}: engine vs one-shot commit on {}",
             h.name,
             mode.name()
         );

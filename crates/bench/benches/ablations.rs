@@ -16,10 +16,10 @@ use std::time::Instant;
 
 use cf_algos::{fences, lamport, msn, tests, treiber, Variant};
 use cf_bench::secs;
-use checkfence::infer::{infer, InferConfig};
-use checkfence::{Checker, Harness, TestSpec};
 use cf_memmodel::Mode;
 use cf_sat::SolverConfig;
+use checkfence::infer::{infer, InferConfig};
+use checkfence::{mine_reference, Engine, EngineConfig, Harness, Query, TestSpec};
 
 fn main() {
     model_sweep();
@@ -35,24 +35,21 @@ enum Run {
 }
 
 fn check_time(h: &Harness, t: &TestSpec, mode: Mode, config: SolverConfig) -> Run {
-    let spec = Checker::new(h, t)
-        .mine_spec_reference()
-        .expect("mines")
-        .spec;
-    let mut c = Checker::new(h, t).with_memory_model(mode);
-    c.config.solver_config = config;
+    let spec = mine_reference(h, t).expect("mines").spec;
+    let mut engine = EngineConfig::single(mode);
+    engine.check.solver_config = config;
     // Weak configurations (e.g. no VSIDS) can be orders of magnitude
     // slower; cap them so the ablation terminates. No retry ladder:
     // a blown budget should report as such, not re-run 8x larger.
-    c.config.conflict_budget = Some(100_000);
-    c.config.max_retries = 0;
+    engine.check.conflict_budget = Some(100_000);
+    engine.check.max_retries = 0;
     let t0 = Instant::now();
-    match c.check_inclusion(&spec) {
-        Ok(r) => Run::Done {
-            passed: r.outcome.passed(),
+    match Engine::new(engine).run(&Query::check_inclusion(h, t, spec).on(mode)) {
+        Ok(v) if v.inconclusive().is_some() => Run::Budget,
+        Ok(v) => Run::Done {
+            passed: v.passed(),
             secs: t0.elapsed().as_secs_f64(),
         },
-        Err(checkfence::CheckError::Exhausted(_)) => Run::Budget,
         Err(e) => panic!("{e}"),
     }
 }
@@ -66,10 +63,34 @@ fn solver_ablation() {
     let all = SolverConfig::default();
     let configs: [(&str, SolverConfig); 6] = [
         ("all features", all),
-        ("no restarts", SolverConfig { restarts: false, ..all }),
-        ("no phase saving", SolverConfig { phase_saving: false, ..all }),
-        ("no VSIDS", SolverConfig { vsids: false, ..all }),
-        ("no DB reduction", SolverConfig { db_reduction: false, ..all }),
+        (
+            "no restarts",
+            SolverConfig {
+                restarts: false,
+                ..all
+            },
+        ),
+        (
+            "no phase saving",
+            SolverConfig {
+                phase_saving: false,
+                ..all
+            },
+        ),
+        (
+            "no VSIDS",
+            SolverConfig {
+                vsids: false,
+                ..all
+            },
+        ),
+        (
+            "no DB reduction",
+            SolverConfig {
+                db_reduction: false,
+                ..all
+            },
+        ),
         (
             "none (plain DPLL+CL)",
             SolverConfig {

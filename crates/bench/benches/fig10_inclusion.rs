@@ -11,28 +11,43 @@
 //! unrolled memory accesses.
 
 use cf_bench::{secs, workloads};
-use checkfence::Checker;
 use cf_memmodel::Mode;
+use checkfence::{mine_reference, Query};
 
 fn main() {
     println!("Fig. 10: inclusion check statistics (memory model: Relaxed)");
     println!(
         "{:<10} {:>6} | {:>6} {:>6} {:>7} | {:>8} {:>9} {:>9} | {:>8} {:>8}",
-        "impl", "test", "instrs", "loads", "stores", "enc[s]", "vars", "clauses", "sat[s]", "tot[s]"
+        "impl",
+        "test",
+        "instrs",
+        "loads",
+        "stores",
+        "enc[s]",
+        "vars",
+        "clauses",
+        "sat[s]",
+        "tot[s]"
     );
     let mut csv = String::from("impl,test,accesses,solve_s,vars,clauses\n");
     for w in workloads() {
-        let checker = Checker::new(&w.harness, &w.test).with_memory_model(Mode::Relaxed);
-        let spec = match checker.mine_spec_reference() {
+        let spec = match mine_reference(&w.harness, &w.test) {
             Ok(m) => m.spec,
             Err(e) => {
-                println!("{:<10} {:>6} | mining failed: {e}", w.algo.name(), w.test.name);
+                println!(
+                    "{:<10} {:>6} | mining failed: {e}",
+                    w.algo.name(),
+                    w.test.name
+                );
                 continue;
             }
         };
-        match checker.check_inclusion(&spec) {
-            Ok(r) => {
-                let s = &r.stats;
+        match Query::check_inclusion(&w.harness, &w.test, spec)
+            .on(Mode::Relaxed)
+            .run()
+        {
+            Ok(v) => {
+                let s = &v.phase;
                 let accesses = s.unrolled.loads + s.unrolled.stores;
                 println!(
                     "{:<10} {:>6} | {:>6} {:>6} {:>7} | {:>8} {:>9} {:>9} | {:>8} {:>8}  {}",
@@ -46,7 +61,7 @@ fn main() {
                     s.sat_clauses,
                     secs(s.solve_time),
                     secs(s.total_time),
-                    if r.outcome.passed() { "PASS" } else { "FAIL" },
+                    if v.passed() { "PASS" } else { "FAIL" },
                 );
                 csv.push_str(&format!(
                     "{},{},{},{},{},{}\n",

@@ -19,8 +19,8 @@
 
 use cf_algos::{ms2, msn, tests, Variant};
 use cf_bench::secs;
-use checkfence::{commit::AbstractType, Checker};
 use cf_memmodel::Mode;
+use checkfence::{commit::AbstractType, Query};
 
 fn main() {
     println!("Fig. 12: runtime comparison (queue tests, memory model: SC)");
@@ -40,16 +40,18 @@ fn main() {
     for (name, harness) in &cases {
         for tn in &test_names {
             let t = tests::by_name(tn).expect("catalog test");
-            let checker = Checker::new(harness, &t).with_memory_model(Mode::Sc);
             // Observation-set method: SAT mining + inclusion.
             let t0 = std::time::Instant::now();
-            let obs_result = checker
-                .mine_spec()
-                .and_then(|m| checker.check_inclusion(&m.spec));
+            let obs_result = Query::mine(harness, &t).run().and_then(|m| {
+                let spec = m.into_observations().expect("unbudgeted mining decides");
+                Query::check_inclusion(harness, &t, spec).on(Mode::Sc).run()
+            });
             let obs_time = t0.elapsed();
             // Commit-point method: single query.
             let t1 = std::time::Instant::now();
-            let commit_result = checker.check_commit_method(AbstractType::Queue);
+            let commit_result = Query::commit_method(harness, &t, AbstractType::Queue)
+                .on(Mode::Sc)
+                .run();
             let commit_time = t1.elapsed();
             match (obs_result, commit_result) {
                 (Ok(o), Ok(c)) => {
@@ -61,7 +63,7 @@ fn main() {
                         secs(obs_time),
                         secs(commit_time),
                         ratio,
-                        if o.outcome.passed() == c.outcome.passed() {
+                        if o.passed() == c.passed() {
                             "yes"
                         } else {
                             "NO (methods disagree!)"

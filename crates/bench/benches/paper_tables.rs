@@ -5,8 +5,8 @@
 
 use cf_algos::{fences, tests, Algo, Variant};
 use cf_bench::secs;
-use checkfence::{Checker, OrderEncoding};
 use cf_memmodel::{litmus, Mode};
+use checkfence::{mine_reference, Engine, EngineConfig, OrderEncoding, Query};
 
 fn main() {
     table1();
@@ -81,23 +81,18 @@ fn model_choice() {
         "{:<10} {:>6} {:>10} {:>10} {:>10} {:>10} {:>8}",
         "impl", "test", "sc[s]", "tso[s]", "pso[s]", "relaxed[s]", "rx/sc"
     );
-    let cases = [
-        (Algo::Msn, "T0"),
-        (Algo::Msn, "Ti2"),
-        (Algo::Ms2, "T0"),
-    ];
+    let cases = [(Algo::Msn, "T0"), (Algo::Msn, "Ti2"), (Algo::Ms2, "T0")];
     for (algo, tn) in cases {
         let h = algo.harness(Variant::Fenced);
         let t = tests::by_name(tn).expect("catalog");
-        let spec = Checker::new(&h, &t)
-            .mine_spec_reference()
-            .expect("mines")
-            .spec;
+        let spec = mine_reference(&h, &t).expect("mines").spec;
         let mut times = Vec::new();
         for mode in Mode::hardware() {
-            let c = Checker::new(&h, &t).with_memory_model(mode);
-            let r = c.check_inclusion(&spec).expect("checks");
-            times.push(r.stats.total_time);
+            let v = Query::check_inclusion(&h, &t, spec.clone())
+                .on(mode)
+                .run()
+                .expect("checks");
+            times.push(v.phase.total_time);
         }
         println!(
             "{:<10} {:>6} {:>10} {:>10} {:>10} {:>10} {:>7.2}x",
@@ -118,29 +113,35 @@ fn model_choice() {
 /// transitivity clauses propagate well, comparator circuits do not.
 fn order_ablation() {
     println!("Ablation: memory-order encoding (msn, Relaxed)");
-    println!("{:<6} {:>12} {:>10} {:>10} {:>12}", "test", "encoding", "vars", "clauses", "total[s]");
+    println!(
+        "{:<6} {:>12} {:>10} {:>10} {:>12}",
+        "test", "encoding", "vars", "clauses", "total[s]"
+    );
     let h = Algo::Msn.harness(Variant::Fenced);
     for tn in ["T0"] {
         let t = tests::by_name(tn).expect("catalog");
-        let spec = Checker::new(&h, &t)
-            .mine_spec_reference()
-            .expect("mines")
-            .spec;
+        let spec = mine_reference(&h, &t).expect("mines").spec;
         for enc in [OrderEncoding::Pairwise, OrderEncoding::Timestamp] {
-            let mut c = Checker::new(&h, &t)
-                .with_memory_model(Mode::Relaxed)
-                .with_order_encoding(enc);
+            let mut config = EngineConfig::single(Mode::Relaxed);
+            config.check.order_encoding = enc;
             // The timestamp encoding can be orders of magnitude slower;
             // cap it so the ablation terminates.
-            c.config.conflict_budget = Some(4_000_000);
-            match c.check_inclusion(&spec) {
-                Ok(r) => println!(
+            config.check.conflict_budget = Some(4_000_000);
+            let query = Query::check_inclusion(&h, &t, spec.clone()).on(Mode::Relaxed);
+            match Engine::new(config).run(&query) {
+                Ok(v) if v.inconclusive().is_none() => println!(
                     "{:<6} {:>12} {:>10} {:>10} {:>12}",
                     tn,
                     enc.name(),
-                    r.stats.sat_vars,
-                    r.stats.sat_clauses,
-                    secs(r.stats.total_time)
+                    v.phase.sat_vars,
+                    v.phase.sat_clauses,
+                    secs(v.phase.total_time)
+                ),
+                Ok(v) => println!(
+                    "{:<6} {:>12} inconclusive: {}",
+                    tn,
+                    enc.name(),
+                    v.inconclusive().expect("checked by the guard")
                 ),
                 Err(e) => println!("{:<6} {:>12} {e}", tn, enc.name()),
             }

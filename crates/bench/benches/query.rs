@@ -1,8 +1,8 @@
 //! Batch-throughput benchmark of the query engine: the ablation
 //! (mutant × model) matrices of treiber/ms2 answered three ways —
-//! sequential legacy one-shot calls (a fresh checker per cell, the
-//! pre-session API a user would have written), `Engine::run_batch` on
-//! one worker, and `Engine::run_batch` sharded across 4 workers.
+//! sequential one-shot oracle calls (`oracle::check_inclusion`, a fresh
+//! encoding and solver per cell), `Engine::run_batch` on one worker,
+//! and `Engine::run_batch` sharded across 4 workers.
 //!
 //! Run with `cargo bench -p cf-bench --bench query`. Writes
 //! `BENCH_query.json` at the workspace root (override with
@@ -11,9 +11,8 @@
 //! * verdicts identical across all three paths, cell for cell;
 //! * `encodes == sessions` on both engine paths (one encoding per pool
 //!   key / worker shard);
-//! * batched `--jobs 4` at least 3x faster than the sequential legacy
+//! * batched `--jobs 4` at least 3x faster than the sequential one-shot
 //!   calls.
-#![allow(deprecated)] // the legacy series deliberately calls the one-shot grid
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -23,8 +22,7 @@ use cf_algos::{ms2, tests, treiber, Variant};
 use cf_memmodel::{Mode, ModeSet};
 use checkfence::mutate::{MutationConfig, MutationPlan};
 use checkfence::{
-    mine_reference, CheckConfig, CheckError, Checker, Engine, EngineConfig, Harness, Query,
-    TestSpec,
+    mine_reference, oracle, CheckConfig, CheckError, Engine, EngineConfig, Harness, Query, TestSpec,
 };
 
 struct Subject {
@@ -90,9 +88,10 @@ fn of_result(r: Result<bool, CheckError>) -> CellVerdict {
     }
 }
 
-/// The sequential legacy series: a fresh one-shot checker per cell on
-/// the concretely mutated build — the pre-engine cost model.
-fn run_legacy(s: &Subject) -> (f64, Vec<CellVerdict>) {
+/// The sequential one-shot series: a fresh oracle run per cell on the
+/// concretely mutated build — the pre-engine cost model.
+fn run_oneshot(s: &Subject) -> (f64, Vec<CellVerdict>) {
+    let config = CheckConfig::default();
     let t0 = Instant::now();
     let mut verdicts = Vec::new();
     for (toggles, mode) in cells(s) {
@@ -105,10 +104,8 @@ fn run_legacy(s: &Subject) -> (f64, Vec<CellVerdict>) {
                 ops: s.harness.ops.clone(),
             },
         };
-        let checker = Checker::new(&build, &s.test).with_memory_model(mode);
         verdicts.push(of_result(
-            checker
-                .check_inclusion_oneshot(&s.spec)
+            oracle::check_inclusion(&build, &s.test, mode, &s.spec, &config)
                 .map(|r| r.outcome.passed()),
         ));
     }
@@ -147,39 +144,39 @@ fn main() {
     let mut rows = Vec::new();
     for name in ["treiber", "ms2"] {
         let s = subject(name);
-        let (legacy_ms, legacy) = run_legacy(&s);
+        let (oneshot_ms, oneshot) = run_oneshot(&s);
         let (seq_ms, seq, seq_sessions, seq_encodes) = run_engine(&s, 1);
         let (par_ms, par, par_sessions, par_encodes) = run_engine(&s, 4);
-        assert_eq!(legacy, seq, "{name}: legacy and jobs=1 verdicts differ");
+        assert_eq!(oneshot, seq, "{name}: one-shot and jobs=1 verdicts differ");
         assert_eq!(seq, par, "{name}: jobs=1 and jobs=4 verdicts differ");
         // One encoding per pool key, on both engine paths.
         assert_eq!(seq_encodes as usize, seq_sessions, "{name}: jobs=1");
         assert_eq!(par_encodes as usize, par_sessions, "{name}: jobs=4");
         assert_eq!(seq_sessions, 1, "{name}: sequential batch pools once");
-        let speedup = legacy_ms / par_ms.max(0.001);
+        let speedup = oneshot_ms / par_ms.max(0.001);
         println!(
-            "{name:<10} cells {:>4}  legacy {legacy_ms:>8.1} ms  engine j1 {seq_ms:>7.1} ms \
+            "{name:<10} cells {:>4}  oneshot {oneshot_ms:>8.1} ms  engine j1 {seq_ms:>7.1} ms \
              (encodes {seq_encodes})  engine j4 {par_ms:>7.1} ms (encodes {par_encodes})  \
              speedup {speedup:.2}x",
-            legacy.len(),
+            oneshot.len(),
         );
         let mut row = String::new();
         let _ = write!(
             row,
             "    {{\"name\": \"{name}\", \"cells\": {}, \
-             \"legacy\": {{\"wall_ms\": {legacy_ms:.1}}}, \
+             \"oneshot\": {{\"wall_ms\": {oneshot_ms:.1}}}, \
              \"engine_jobs1\": {{\"wall_ms\": {seq_ms:.1}, \"sessions\": {seq_sessions}, \
              \"encodes\": {seq_encodes}}}, \
              \"engine_jobs4\": {{\"wall_ms\": {par_ms:.1}, \"sessions\": {par_sessions}, \
              \"encodes\": {par_encodes}}}, \
              \"speedup\": {speedup:.3}}}",
-            legacy.len(),
+            oneshot.len(),
         );
         rows.push(row);
         assert!(
             speedup >= 3.0,
             "{name}: batched run_batch at jobs=4 must be >= 3x faster than \
-             sequential legacy calls (got {speedup:.2}x)"
+             sequential one-shot calls (got {speedup:.2}x)"
         );
     }
 

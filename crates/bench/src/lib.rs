@@ -100,15 +100,11 @@ pub mod parallel {
     //! then answers every requested memory model as one
     //! [`checkfence::Query`] on the shared [`checkfence::Engine`] — the
     //! batch is sharded across `jobs` workers by the engine itself.
-    //! [`run_indexed`] remains as
-    //! the generic fan-out helper for work the engine does not cover
-    //! (the toolchain is offline, so no rayon; the pattern is identical).
 
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
     use std::time::{Duration, Instant};
 
     use cf_memmodel::{Mode, ModeSet};
+    use checkfence::pool::run_indexed;
     use checkfence::{CheckConfig, Engine, EngineConfig, ModelSel, ObsSet, Query};
 
     use crate::Workload;
@@ -139,30 +135,6 @@ pub mod parallel {
         pub sessions: usize,
         /// End-to-end wall-clock time.
         pub elapsed: Duration,
-    }
-
-    /// Runs `n` independent jobs on up to `jobs` worker threads (an
-    /// atomic work queue over scoped threads) and returns the results in
-    /// index order. Shared by [`run_matrix`] and the `checkfence --jobs`
-    /// CLI fan-out.
-    pub fn run_indexed<R: Send>(jobs: usize, n: usize, work: impl Fn(usize) -> R + Sync) -> Vec<R> {
-        let next = AtomicUsize::new(0);
-        let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
-        std::thread::scope(|scope| {
-            for _ in 0..jobs.clamp(1, n.max(1)) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let r = work(i);
-                    results.lock().expect("no poisoned worker").push((i, r));
-                });
-            }
-        });
-        let mut indexed = results.into_inner().expect("workers joined");
-        indexed.sort_by_key(|(i, _)| *i);
-        indexed.into_iter().map(|(_, r)| r).collect()
     }
 
     /// One cell of the shared grid runner: (passed, query wall time) or

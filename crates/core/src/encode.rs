@@ -78,7 +78,7 @@ pub enum ModelSel {
     /// A built-in mode.
     Builtin(Mode),
     /// The `i`-th spec passed to [`Encoding::build_with_specs`] (or
-    /// [`crate::SessionConfig::specs`]).
+    /// [`EngineConfig::specs`](crate::EngineConfig::specs)).
     Spec(usize),
 }
 

@@ -65,7 +65,8 @@ use std::time::{Duration, Instant};
 use cf_lsl::{FenceKind, Procedure, Program, Stmt};
 use cf_memmodel::{Mode, ModeSet};
 
-use crate::checker::{CheckConfig, CheckError, Checker, ObsSet};
+use crate::checker::{CheckConfig, CheckError, ObsSet};
+use crate::mine::mine_reference;
 use crate::query::{Engine, EngineConfig, Query};
 use crate::test_spec::{Harness, TestSpec};
 
@@ -343,8 +344,7 @@ pub fn infer(
     // Mine each test's specification once; fences cannot change it.
     let mut specs: Vec<ObsSet> = Vec::with_capacity(tests.len());
     for t in tests {
-        let c = Checker::new(harness, t);
-        specs.push(c.mine_spec_reference()?.spec);
+        specs.push(mine_reference(harness, t)?.spec);
     }
 
     let all = candidate_sites(&harness.program, config);
@@ -459,17 +459,15 @@ pub fn infer(
 }
 
 /// The pre-session per-candidate baseline: every candidate build is
-/// re-compiled into a fresh harness and checked with a one-shot
-/// [`Checker`] (fresh symbolic execution, encoding and solver per
-/// check). Produces the same 1-minimal placement as [`infer`]; kept for
-/// session-equivalence tests and as the "before" series of the
-/// fence-inference benchmark — which is why it may call the deprecated
-/// one-shot oracle.
+/// re-compiled into a fresh harness and checked with the one-shot
+/// [`oracle::check_inclusion`](crate::oracle::check_inclusion) (fresh
+/// symbolic execution, encoding and solver per check). Produces the
+/// same 1-minimal placement as [`infer`]; kept for session-equivalence
+/// tests and as the "before" series of the fence-inference benchmark.
 ///
 /// # Errors
 ///
 /// As [`infer`].
-#[allow(deprecated)]
 pub fn infer_baseline(
     harness: &Harness,
     tests: &[TestSpec],
@@ -479,8 +477,7 @@ pub fn infer_baseline(
     let t0 = Instant::now();
     let mut specs: Vec<ObsSet> = Vec::with_capacity(tests.len());
     for t in tests {
-        let c = Checker::new(harness, t);
-        specs.push(c.mine_spec_reference()?.spec);
+        specs.push(mine_reference(harness, t)?.spec);
     }
 
     let all = candidate_sites(&harness.program, config);
@@ -503,8 +500,7 @@ pub fn infer_baseline(
         };
         for (t, spec) in tests.iter().zip(&specs) {
             *checks += 1;
-            let c = Checker::new(&build, t).with_memory_model(mode);
-            let r = c.check_inclusion_oneshot(spec)?;
+            let r = crate::oracle::check_inclusion(&build, t, mode, spec, &CheckConfig::default())?;
             symexecs += r.stats.bound_rounds;
             sat.conflicts += r.stats.sat_conflicts;
             sat.propagations += r.stats.sat_propagations;

@@ -23,18 +23,20 @@
 //!
 //! ## Beyond the one-shot pipeline
 //!
-//! * [`query`] — **the public checking surface**: a composable
-//!   [`Query`] value per question (mine / enumerate / inclusion /
-//!   commit × model × fence and toggle assumption vectors) answered by
-//!   an [`Engine`] pooling incremental [`CheckSession`]s per (harness,
-//!   test, model universe), with batch sharding across worker threads
-//!   and per-query solver attribution ([`QueryStats`]);
-//! * [`CheckSession`] — the underlying incremental session: one
-//!   persistent solver per (harness, test), with built-in
-//!   [`cf_memmodel::Mode`]s and declarative [`cf_spec::ModelSpec`]s
-//!   selected per query through assumption literals (encode once,
-//!   solve many); its per-question method grid is deprecated in favor
-//!   of [`query`];
+//! * [`query`] — **the checking surface**: a composable [`Query`] value
+//!   per question (mine / enumerate / inclusion / commit × model × fence
+//!   and toggle assumption vectors) answered by an [`Engine`] pooling
+//!   incremental sessions per (harness, test, model universe) — one
+//!   persistent solver each, with built-in [`cf_memmodel::Mode`]s and
+//!   declarative [`cf_spec::ModelSpec`]s selected per query through
+//!   assumption literals (encode once, solve many) — with batch sharding
+//!   across worker threads and per-query solver attribution
+//!   ([`QueryStats`]);
+//! * [`oracle`] — one independent one-shot oracle per question kind (a
+//!   fresh encoding and solver per call), the reference of the
+//!   equivalence suites and benchmarks;
+//! * [`pool`] — the indexed worker pool behind batch sharding and
+//!   parallel reference mining;
 //! * [`infer`] — automatic 1-minimal fence placement, candidate fences
 //!   as activation literals on pooled sessions;
 //! * [`mutate`] — batched Fig. 11-style mutation checking: statement
@@ -93,11 +95,13 @@ pub mod cycles;
 pub mod infer;
 pub mod mutate;
 mod obs_text;
+pub mod oracle;
+pub mod pool;
 pub mod provenance;
 pub mod query;
 
 pub use checker::{
-    CheckConfig, CheckError, CheckOutcome, Checker, Counterexample, FailureKind, InclusionResult,
+    CheckConfig, CheckError, CheckOutcome, Counterexample, FailureKind, InclusionResult,
     InconclusiveReason, MiningResult, ObsSet, PhaseStats, TraceStep,
 };
 pub use cnf::CnfBuilder;
@@ -108,7 +112,7 @@ pub use obs_text::ParseObsError;
 pub use provenance::{Provenance, ProvenanceKind};
 pub use query::{Answer, Engine, EngineConfig, EngineStats, Query, QueryKind, QueryStats, Verdict};
 pub use range::{analyze, RangeInfo, ValueSet};
-pub use session::{CheckSession, SessionConfig, SessionStats};
+pub use session::SessionStats;
 pub use symexec::{
     execute, ErrorCond, ErrorKind, Event, FenceEvt, LoopBounds, ObsEntry, ObsRole, SymExec,
     SymExecError, UnrollStats,

@@ -9,8 +9,8 @@
 //! encoding, cold SAT solver each time).
 //!
 //! This module generalizes the candidate-fence activation literals of
-//! the incremental sessions ([`crate::CheckSession`]) to arbitrary statement
-//! rewrites: a [`MutationPlan`] instruments the program once, wrapping
+//! the engine's incremental sessions ([`crate::Engine`]) to arbitrary
+//! statement rewrites: a [`MutationPlan`] instruments the program once, wrapping
 //! every mutation point in a [`cf_lsl::Stmt::Toggle`] whose per-site
 //! *toggle literal* selects between the original statements and the
 //! mutant. The whole matrix is then answered from **one** symbolic
@@ -46,7 +46,7 @@ use cf_lsl::{pretty, FenceKind, Program, Reg, Stmt};
 use cf_memmodel::{Mode, ModeSet};
 use cf_spec::ModelSpec;
 
-use crate::checker::{CheckConfig, CheckError, CheckOutcome, Checker, FailureKind, ObsSet};
+use crate::checker::{CheckConfig, CheckError, CheckOutcome, FailureKind, ObsSet};
 use crate::encode::ModelSel;
 use crate::query::{Engine, EngineConfig, Query, Verdict};
 use crate::session::SessionStats;
@@ -578,8 +578,8 @@ pub struct MatrixConfig {
     /// Declarative models checked alongside the built-ins (compiled
     /// into the same encoding, selected per query).
     pub specs: Vec<ModelSpec>,
-    /// Check settings (order encoding, bounds, budgets); the
-    /// `memory_model` field is ignored — the matrix supplies models.
+    /// Check settings (order encoding, bounds, budgets); the matrix
+    /// supplies the models.
     pub check: CheckConfig,
     /// Worker threads: the mutant × model cells shard across this many
     /// engine workers, one session replica per shard (each replica
@@ -970,8 +970,10 @@ pub fn run_mutation_matrix(
 }
 
 /// The per-mutant oracle: every (mutant, model) cell is a fresh
-/// [`Checker`] run on the concretely mutated program — full symbolic
-/// execution, encoding and cold solver each time. Verdict-equivalent to
+/// [`oracle::check_inclusion`](crate::oracle::check_inclusion) run on
+/// the concretely mutated program — full symbolic execution, encoding
+/// and cold solver each time, for built-in and declarative columns
+/// alike. Verdict-equivalent to
 /// [`run_mutation_matrix`] (the equivalence suite asserts it); kept as
 /// the baseline of `BENCH_mutate.json`.
 ///
@@ -1043,10 +1045,7 @@ pub fn run_mutation_matrix_oneshot(
     })
 }
 
-/// One one-shot cell: a fresh checker per (build, model). Part of the
-/// oracle apparatus, hence the deliberate calls into the deprecated
-/// one-shot grid.
-#[allow(deprecated)]
+/// One one-shot cell: a fresh oracle run per (build, model).
 fn oneshot_cell(
     build: &Harness,
     test: &TestSpec,
@@ -1054,15 +1053,11 @@ fn oneshot_cell(
     sel: ModelSel,
     spec: &ObsSet,
 ) -> Result<crate::checker::InclusionResult, CheckError> {
-    let mut checker = Checker::new(build, test);
-    checker.config = config.check.clone();
-    match sel {
-        ModelSel::Builtin(mode) => {
-            checker.config.memory_model = mode;
-            checker.check_inclusion_oneshot(spec)
-        }
-        ModelSel::Spec(i) => checker.check_inclusion_spec(&config.specs[i], spec),
-    }
+    let model = match sel {
+        ModelSel::Builtin(mode) => crate::oracle::Model::Builtin(mode),
+        ModelSel::Spec(i) => crate::oracle::Model::Spec(&config.specs[i]),
+    };
+    crate::oracle::check_inclusion(build, test, model, spec, &config.check)
 }
 
 #[cfg(test)]

@@ -2,11 +2,8 @@
 //! for all of them.
 //!
 //! CheckFence's core loop is *encode once, answer many related
-//! questions* (paper Fig. 6), but the session surface historically grew
-//! one method per question shape: `check_inclusion` /
-//! `enumerate_observations` × `_model` × `_toggled` × `_with_fences` ×
-//! `_oneshot`, doubling with every new axis. This module collapses that
-//! grid into two types:
+//! questions* (paper Fig. 6). This module is the one way to ask them,
+//! through two types:
 //!
 //! * [`Query`] — a declarative description of one question: the
 //!   implementation ([`Harness`]) and symbolic test ([`TestSpec`]), the
@@ -15,8 +12,9 @@
 //!   mutation toggles) and the question kind ([`QueryKind`]: mine,
 //!   enumerate, inclusion check, commit-point method). All axes are
 //!   orthogonal and builder-composable.
-//! * [`Engine`] — a pool of [`CheckSession`]s keyed by (harness, test,
-//!   model universe), the universe being engine-wide configuration
+//! * [`Engine`] — a pool of incremental checking sessions (one persistent
+//!   encoding and solver each) keyed by (harness, test, model universe),
+//!   the universe being engine-wide configuration
 //!   ([`EngineConfig::modes`] + [`EngineConfig::specs`]).
 //!   [`Engine::run`] answers one query; [`Engine::run_batch`] groups a
 //!   mixed batch by session key, reuses live encodings across calls,
@@ -27,6 +25,9 @@
 //! ([`QueryStats`], computed with [`cf_sat::Stats::since`]) next to the
 //! per-phase [`PhaseStats`], so batch drivers can report cost per
 //! question instead of only session totals.
+//!
+//! Each question kind also has an independent one-shot reference in
+//! [`crate::oracle`], used by the equivalence suites and benchmarks.
 //!
 //! # Examples
 //!
@@ -75,16 +76,14 @@
 //! ```
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cf_memmodel::{Mode, ModeSet};
 use cf_spec::ModelSpec;
 
 use crate::checker::{
-    CheckConfig, CheckError, CheckOutcome, Counterexample, InclusionResult, InconclusiveReason,
-    ObsSet, PhaseStats,
+    CheckConfig, CheckError, CheckOutcome, Counterexample, InconclusiveReason, ObsSet, PhaseStats,
 };
 use crate::commit::AbstractType;
 use crate::encode::ModelSel;
@@ -471,41 +470,6 @@ impl Verdict {
             _ => None,
         }
     }
-
-    /// Converts an inconclusive verdict back into the legacy
-    /// [`CheckError::Exhausted`] error the deprecated one-query shims
-    /// report, passing conclusive verdicts through.
-    pub(crate) fn or_exhausted(self) -> Result<Verdict, CheckError> {
-        match self.answer {
-            Answer::Inconclusive { reason, .. } => Err(CheckError::Exhausted(reason)),
-            _ => Ok(self),
-        }
-    }
-
-    /// Consumes an outcome-shaped verdict into the legacy result type —
-    /// the shared adapter of the deprecated shims.
-    ///
-    /// # Errors
-    ///
-    /// Inconclusive verdicts surface as [`CheckError::Exhausted`], the
-    /// pre-verdict contract of the shims.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an observation-shaped answer (mining/enumeration).
-    pub(crate) fn into_inclusion_result(self) -> Result<InclusionResult, CheckError> {
-        let Verdict { answer, phase, .. } = self;
-        match answer {
-            Answer::Outcome(outcome) => Ok(InclusionResult {
-                outcome,
-                stats: phase,
-            }),
-            Answer::Inconclusive { reason, .. } => Err(CheckError::Exhausted(reason)),
-            Answer::Observations(_) => {
-                unreachable!("outcome-shaped queries only")
-            }
-        }
-    }
 }
 
 /// Configuration of an [`Engine`]: the model universe every pooled
@@ -522,8 +486,8 @@ pub struct EngineConfig {
     /// Declarative models of the universe ([`ModelSel::Spec`] indexes
     /// this list). Compiled into every session next to the built-ins.
     pub specs: Vec<ModelSpec>,
-    /// Check settings (order encoding, bounds, budgets). The
-    /// `memory_model` field is ignored — queries name their models.
+    /// Check settings (order encoding, bounds, budgets); queries name
+    /// their models.
     pub check: CheckConfig,
     /// Worker threads for [`Engine::run_batch`]. `0` and `1` both mean
     /// sequential. With more, large per-session query groups are
@@ -579,8 +543,8 @@ impl EngineConfig {
         }
     }
 
-    /// An engine configuration derived from one-shot check settings,
-    /// restricted to the given built-in universe.
+    /// An engine configuration from check settings, restricted to the
+    /// given built-in universe.
     pub fn from_check_config(check: &CheckConfig, modes: ModeSet) -> EngineConfig {
         EngineConfig {
             modes,
@@ -654,7 +618,7 @@ struct Slot<'h> {
     session: CheckSession<'h>,
 }
 
-/// A pool of [`CheckSession`]s answering [`Query`] values.
+/// A pool of incremental checking sessions answering [`Query`] values.
 ///
 /// Sessions are created lazily, keyed by (harness identity, test
 /// identity, worker shard) — the model universe is fixed per engine —
@@ -918,15 +882,15 @@ impl<'h> Engine<'h> {
             }
         }
 
-        // Results travel over a channel: unlike a shared Vec under a
-        // Mutex, a panicking worker cannot poison the collection path —
-        // everything sent before the unwind still arrives.
-        let (tx, rx) = mpsc::channel::<(usize, Result<Verdict, CheckError>)>();
+        // One pool task per shard. Each item runs panic-isolated, so a
+        // worker fault degrades only its own query's cell.
         let config = &self.config;
-        let run_task =
-            |task: &Task<'h>, tx: &mpsc::Sender<(usize, Result<Verdict, CheckError>)>| {
-                let mut slot = task.session.lock().unwrap_or_else(|p| p.into_inner());
-                for &i in &task.members {
+        let answered = crate::pool::run_indexed(jobs, tasks.len(), |t| {
+            let task = &tasks[t];
+            let mut slot = task.session.lock().unwrap_or_else(|p| p.into_inner());
+            task.members
+                .iter()
+                .map(|&i| {
                     // Item lane i+1: lane 0 is the coordinator. The scope
                     // pins every event of this query to its canonical
                     // (batch, item) coordinate regardless of which worker
@@ -934,31 +898,11 @@ impl<'h> Engine<'h> {
                     // `--jobs` level.
                     let _scope = cf_trace::enabled()
                         .then(|| cf_trace::scope(batch, i as u64 + 1, queries[i].describe()));
-                    let _ = tx.send((i, exec_isolated(&mut slot, &queries[i], config)));
-                }
-            };
-        if jobs <= 1 || tasks.len() <= 1 {
-            for task in &tasks {
-                run_task(task, &tx);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..jobs.min(tasks.len()) {
-                    let tx = tx.clone();
-                    let (next, tasks, run_task) = (&next, &tasks, &run_task);
-                    scope.spawn(move || loop {
-                        let t = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(task) = tasks.get(t) else {
-                            break;
-                        };
-                        run_task(task, &tx);
-                    });
-                }
-            });
-        }
-        drop(tx);
-        for (i, r) in rx.try_iter() {
+                    (i, exec_isolated(&mut slot, &queries[i], config))
+                })
+                .collect::<Vec<_>>()
+        });
+        for (i, r) in answered.into_iter().flatten() {
             results[i] = Some(r);
         }
 
@@ -1074,9 +1018,13 @@ fn build_session<'h>(query: &Query<'h>, config: &EngineConfig) -> CheckSession<'
     // keeps the post-panic rebuild path honest: a resubmitted provenance
     // query gets an instrumented session again, so a shard crash never
     // silently drops provenance.
-    let sc = SessionConfig::from_check_config(&config.check, config.modes)
-        .with_specs(config.specs.clone())
-        .with_provenance(config.provenance || query.provenance);
+    let sc = SessionConfig {
+        modes: config.modes,
+        specs: config.specs.clone(),
+        provenance: config.provenance || query.provenance,
+        check: config.check.clone(),
+        deadline_at: None,
+    };
     CheckSession::with_config(query.harness, query.test, sc)
 }
 
@@ -1199,12 +1147,12 @@ fn exec(
         });
     };
     loop {
-        session.config.tick_budget = base_ticks.map(|b| b.saturating_mul(scale));
-        session.config.conflict_budget = base_conflicts.map(|b| b.saturating_mul(scale));
+        session.config.check.tick_budget = base_ticks.map(|b| b.saturating_mul(scale));
+        session.config.check.conflict_budget = base_conflicts.map(|b| b.saturating_mul(scale));
         session.config.deadline_at = deadline.map(|d| Instant::now() + d);
         cf_trace::emit("attempt", || {
             let mut fields = vec![("n", cf_trace::u(u64::from(retries)))];
-            if let Some(b) = session.config.tick_budget {
+            if let Some(b) = session.config.check.tick_budget {
                 fields.push(("tick_budget", cf_trace::u(b)));
             }
             fields

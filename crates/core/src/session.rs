@@ -4,11 +4,11 @@
 //! under slightly different configurations: fence inference re-checks one
 //! test per candidate placement (§4.2), spec mining solves once per
 //! observation (§3.2), and model sweeps re-check per memory model. The
-//! one-shot [`Checker`](crate::Checker) pays a full symbolic execution, a
+//! one-shot [`oracle`](crate::oracle)s pay a full symbolic execution, a
 //! full CNF encode and a cold SAT solver for each of those checks, even
 //! though the formula differs only marginally between them.
 //!
-//! A [`CheckSession`] binds one (harness, test) pair to one *persistent*
+//! A `CheckSession` binds one (harness, test) pair to one *persistent*
 //! incremental solver and answers every query through assumptions:
 //!
 //! * **Candidate fences** ([`cf_lsl::Stmt::CandidateFence`]) are encoded
@@ -30,6 +30,10 @@
 //! executions exceeding the current loop bounds, the session re-executes
 //! and re-encodes at larger bounds (this is the only event that discards
 //! solver state; [`SessionStats`] counts it).
+//!
+//! Sessions are internal: the [`Engine`](crate::Engine) creates, pools
+//! and schedules them, and [`Query`](crate::Query) values are the only
+//! way to ask one anything.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
@@ -41,103 +45,40 @@ use cf_spec::ModelSpec;
 
 use crate::checker::{
     decode_counterexample, exhausted_err, CheckConfig, CheckError, CheckOutcome, FailureKind,
-    InclusionResult, MiningResult, ObsSet, PhaseStats,
+    ObsSet, PhaseStats,
 };
 use crate::commit::{encode_abstract_machine, AbstractType};
-use crate::encode::{Encoding, ModelSel, OrderEncoding};
+use crate::encode::{Encoding, ModelSel};
 use crate::provenance::{Provenance, ProvenanceKind};
 use crate::range::analyze;
 use crate::symexec::{execute, LoopBounds, SymExec};
 use crate::test_spec::{Harness, TestSpec};
 
-/// Configuration of a [`CheckSession`].
+/// Configuration of a [`CheckSession`]: the engine's model universe
+/// and check settings.
 #[derive(Clone, Debug)]
-pub struct SessionConfig {
+pub(crate) struct SessionConfig {
     /// The built-in memory models the session can answer queries for.
-    /// Encoding only the modes you need keeps the formula smaller; a
-    /// single-model session costs exactly what the one-shot encoding
-    /// did.
-    pub modes: ModeSet,
+    pub(crate) modes: ModeSet,
     /// Declarative models encoded alongside the built-ins, addressed by
     /// index ([`ModelSel::Spec`]). Compiled once into the shared
     /// encoding, toggled per query like any built-in mode.
-    pub specs: Vec<ModelSpec>,
-    /// Memory-order encoding.
-    pub order_encoding: OrderEncoding,
-    /// Whether the range analysis runs.
-    pub range_analysis: bool,
-    /// Maximum lazy-unrolling refinements before giving up.
-    pub max_bound_rounds: u32,
-    /// Optional SAT conflict budget per solve call.
-    pub conflict_budget: Option<u64>,
-    /// Optional deterministic tick budget (propagations + conflicts)
-    /// per solve call; the engine's retry ladder grows this between
-    /// attempts.
-    pub tick_budget: Option<u64>,
-    /// Optional absolute wall-clock deadline for the *current* query.
-    /// Relative per-query deadlines ([`CheckConfig::deadline`]) are
-    /// armed into an `Instant` by the caller at query start, so one
-    /// deadline covers every solve call and bound-growth round the
-    /// query issues.
-    pub deadline_at: Option<Instant>,
-    /// Unrolling bound for `spin`-marked retry loops.
-    pub spin_bound: u32,
+    pub(crate) specs: Vec<ModelSpec>,
     /// Whether inclusion verdicts carry [`Provenance`]: real fences are
     /// made assumption-addressable (wrapped in synthetic toggle sites)
     /// and spec axioms are gated per-axiom, so the decisive solve's
-    /// assumption core resolves to named artifacts. Off by default —
-    /// and with it off, the session's formula, verdicts and solver
-    /// statistics are byte-identical to a provenance-free build.
-    pub provenance: bool,
-    /// Core-minimization tick budget (see
-    /// [`CheckConfig::core_minimize_ticks`]).
-    pub core_minimize_ticks: Option<u64>,
-    /// Core re-solving self-check (see [`CheckConfig::verify_cores`]).
-    pub verify_cores: bool,
-    /// Feature toggles of the underlying SAT solver.
-    pub solver_config: cf_sat::SolverConfig,
-}
-
-impl Default for SessionConfig {
-    fn default() -> Self {
-        SessionConfig::from_check_config(&CheckConfig::default(), ModeSet::all())
-    }
-}
-
-impl SessionConfig {
-    /// Derives a session configuration from a one-shot [`CheckConfig`],
-    /// encoding the given mode set.
-    pub fn from_check_config(config: &CheckConfig, modes: ModeSet) -> SessionConfig {
-        SessionConfig {
-            modes,
-            specs: Vec::new(),
-            order_encoding: config.order_encoding,
-            range_analysis: config.range_analysis,
-            max_bound_rounds: config.max_bound_rounds,
-            conflict_budget: config.conflict_budget,
-            tick_budget: config.tick_budget,
-            deadline_at: None,
-            spin_bound: config.spin_bound,
-            provenance: false,
-            core_minimize_ticks: config.core_minimize_ticks,
-            verify_cores: config.verify_cores,
-            solver_config: config.solver_config,
-        }
-    }
-
-    /// Adds declarative models to the session's universe (chainable).
-    pub fn with_specs(mut self, specs: Vec<ModelSpec>) -> SessionConfig {
-        self.specs = specs;
-        self
-    }
-
-    /// Enables provenance extraction (chainable). Must be set before
-    /// the first query builds the encoding.
-    #[must_use]
-    pub fn with_provenance(mut self, on: bool) -> SessionConfig {
-        self.provenance = on;
-        self
-    }
+    /// assumption core resolves to named artifacts. With it off, the
+    /// session's formula, verdicts and solver statistics are
+    /// byte-identical to a provenance-free build.
+    pub(crate) provenance: bool,
+    /// The engine's check settings. The retry ladder rescales the tick
+    /// and conflict budgets between attempts; the relative
+    /// [`CheckConfig::deadline`] is armed into `deadline_at` instead.
+    pub(crate) check: CheckConfig,
+    /// Absolute wall-clock deadline of the current attempt, so one
+    /// deadline covers every solve call and bound-growth round it
+    /// issues.
+    pub(crate) deadline_at: Option<Instant>,
 }
 
 /// Counters proving (or disproving) the session's amortization claim:
@@ -171,64 +112,15 @@ enum Round<T> {
     Bounded(T),
 }
 
-/// An incremental checking session for one implementation and one test.
-///
-/// Sessions are the unit of encoding reuse. Drivers should not call the
-/// per-question methods directly anymore: describe questions as
-/// [`Query`](crate::query::Query) values and let an
-/// [`Engine`](crate::query::Engine) pool and schedule the sessions —
-/// the method grid below survives only as deprecated shims over the
-/// same internals.
-///
-/// # Examples
-///
-/// One engine-pooled encoding answering the full mode lattice:
-///
-/// ```
-/// use checkfence::query::{Engine, EngineConfig, Query};
-/// use checkfence::{Harness, OpSig, TestSpec};
-/// use cf_memmodel::Mode;
-///
-/// let program = cf_minic::compile(r#"
-///     int data; int flag;
-///     void put(int v) { data = v + 1; fence("store-store"); flag = 1; }
-///     int get() { int f = flag; fence("load-load");
-///                 if (f == 0) { return 0 - 1; } return data; }
-/// "#).expect("compiles");
-/// let harness = Harness {
-///     name: "mailbox".into(),
-///     program,
-///     init_proc: None,
-///     ops: vec![
-///         OpSig { key: 'p', proc_name: "put".into(), num_args: 1, has_ret: false },
-///         OpSig { key: 'g', proc_name: "get".into(), num_args: 0, has_ret: true },
-///     ],
-/// };
-/// let test = TestSpec::parse("pg", "( p | g )").expect("parses");
-/// let mut engine = Engine::new(EngineConfig::default());
-/// let spec = engine
-///     .run(&Query::mine(&harness, &test))
-///     .expect("mines")
-///     .into_observations()
-///     .expect("observations");
-/// for mode in Mode::hardware() {
-///     let q = Query::check_inclusion(&harness, &test, spec.clone()).on(mode);
-///     let v = engine.run(&q).expect("checks");
-///     assert!(v.passed(), "fenced mailbox passes on {}", mode.name());
-/// }
-/// // All five queries shared one session, one symbolic execution and
-/// // one encoding.
-/// assert_eq!(engine.stats().sessions, 1);
-/// assert_eq!(engine.stats().encodes, 1);
-/// assert_eq!(engine.stats().queries, 5);
-/// ```
-pub struct CheckSession<'h> {
+/// An incremental checking session for one implementation and one test:
+/// the unit of encoding reuse behind the [`Engine`](crate::Engine).
+pub(crate) struct CheckSession<'h> {
     harness: &'h Harness,
     test: &'h TestSpec,
     /// The configuration. Mode set and order encoding are fixed once the
     /// first query builds the encoding; solver budget may be adjusted
     /// between queries.
-    pub config: SessionConfig,
+    pub(crate) config: SessionConfig,
     bounds: LoopBounds,
     state: Option<State>,
     stats: SessionStats,
@@ -245,14 +137,12 @@ pub struct CheckSession<'h> {
 }
 
 impl<'h> CheckSession<'h> {
-    /// Creates a session answering every memory model, with default
-    /// configuration.
-    pub fn new(harness: &'h Harness, test: &'h TestSpec) -> Self {
-        Self::with_config(harness, test, SessionConfig::default())
-    }
-
-    /// Creates a session with an explicit configuration.
-    pub fn with_config(harness: &'h Harness, test: &'h TestSpec, config: SessionConfig) -> Self {
+    /// Creates a session; nothing is encoded before the first query.
+    pub(crate) fn with_config(
+        harness: &'h Harness,
+        test: &'h TestSpec,
+        config: SessionConfig,
+    ) -> Self {
         CheckSession {
             harness,
             test,
@@ -274,93 +164,31 @@ impl<'h> CheckSession<'h> {
     }
 
     /// Amortization counters.
-    pub fn stats(&self) -> SessionStats {
+    pub(crate) fn stats(&self) -> SessionStats {
         self.stats
     }
 
     /// Cumulative statistics of the persistent solver (zero before the
     /// first query builds the encoding).
-    pub fn solver_stats(&self) -> cf_sat::Stats {
+    pub(crate) fn solver_stats(&self) -> cf_sat::Stats {
         self.state
             .as_ref()
             .map(|st| *st.enc.cnf.solver.stats())
             .unwrap_or_default()
     }
 
-    /// The candidate fence sites present in the encoded program, in
-    /// ascending site order (empty unless the program contains
-    /// [`cf_lsl::Stmt::CandidateFence`] statements).
-    ///
-    /// # Errors
-    ///
-    /// Propagates symbolic-execution failures from building the encoding.
-    pub fn candidate_sites(&mut self) -> Result<Vec<u32>, CheckError> {
-        let mut stats = PhaseStats::default();
-        self.ensure_state(&mut stats)?;
-        Ok(self
-            .state
-            .as_ref()
-            .expect("state built")
-            .enc
-            .fence_acts
-            .keys()
-            .copied()
-            .collect())
-    }
-
-    /// The mutation toggle sites present in the encoded program, in
-    /// ascending site order (empty unless the program contains
-    /// [`cf_lsl::Stmt::Toggle`] statements). A site whose mutant branch
-    /// has no encodable effect (e.g. it only touches dead registers) may
-    /// be absent even though the plan lists it; activating such a site
-    /// is a no-op.
-    ///
-    /// # Errors
-    ///
-    /// Propagates symbolic-execution failures from building the encoding.
-    pub fn toggle_sites(&mut self) -> Result<Vec<u32>, CheckError> {
-        let mut stats = PhaseStats::default();
-        self.ensure_state(&mut stats)?;
-        Ok(self
-            .state
-            .as_ref()
-            .expect("state built")
-            .enc
-            .toggle_acts
-            .keys()
-            .copied()
-            .collect())
-    }
-
-    /// Mines the observation set with the SAT encoding under Seriality
+    /// The [`QueryKind::Mine`](crate::query::QueryKind::Mine) body:
+    /// mines the observation set with the SAT encoding under Seriality
     /// (§3.2), reusing the persistent encoding. Candidate fences are
     /// irrelevant here: fences are no-ops under the Seriality model.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckError::SerialBug`] if a serial execution raises a runtime
-    /// error; infrastructure errors otherwise. Panics if the session was
-    /// configured without the `Serial` mode.
-    #[deprecated(
-        since = "0.2.0",
-        note = "run `Query::mine(..)` on a `checkfence::query::Engine` instead"
-    )]
-    pub fn mine_spec(&mut self) -> Result<MiningResult, CheckError> {
-        let t0 = Instant::now();
-        let mut stats = PhaseStats::default();
-        let spec = self.query_mine(&mut stats)?;
-        stats.total_time = t0.elapsed();
-        Ok(MiningResult { spec, stats })
-    }
-
-    /// The [`QueryKind::Mine`](crate::query::QueryKind::Mine) body.
     /// Phase timings accumulate into `stats` — also on the error path,
     /// so exhausted queries keep their partial attribution (the caller
     /// stamps `total_time`).
     ///
     /// # Errors
     ///
-    /// As the deprecated [`CheckSession::mine_spec`] shim above.
+    /// [`CheckError::SerialBug`] if a serial execution raises a runtime
+    /// error; infrastructure errors otherwise.
     pub(crate) fn query_mine(&mut self, stats: &mut PhaseStats) -> Result<ObsSet, CheckError> {
         self.stats.queries += 1;
         let serial = ModelSel::Builtin(Mode::Serial);
@@ -384,74 +212,6 @@ impl<'h> CheckSession<'h> {
             let vectors = Self::enumerate_gated(enc, asm, stats)?;
             Ok(Round::Bounded(ObsSet { vectors }))
         })
-    }
-
-    /// Mines the observation set by explicit enumeration on the concrete
-    /// interpreter (the paper's "refset" fast path; does not touch the
-    /// solver).
-    ///
-    /// # Errors
-    ///
-    /// See [`crate::mine_reference`].
-    pub fn mine_spec_reference(&self) -> Result<MiningResult, CheckError> {
-        crate::mine::mine_reference(self.harness, self.test)
-    }
-
-    /// Enumerates the observations of all error-free executions under
-    /// `mode` by iterated solving with gated blocking clauses.
-    ///
-    /// # Errors
-    ///
-    /// Infrastructure errors only. Panics if `mode` is not in the
-    /// session's mode set.
-    #[deprecated(
-        since = "0.2.0",
-        note = "run `Query::enumerate(..).on(mode)` on a `checkfence::query::Engine` instead"
-    )]
-    pub fn enumerate_observations(&mut self, mode: Mode) -> Result<ObsSet, CheckError> {
-        self.query_enumerate(
-            ModelSel::Builtin(mode),
-            &[],
-            &[],
-            &mut PhaseStats::default(),
-        )
-    }
-
-    /// [`CheckSession::enumerate_observations`] for any encoded model —
-    /// a built-in mode or a declarative spec of the session's universe.
-    ///
-    /// # Errors
-    ///
-    /// Infrastructure errors only. Panics if the model is not part of
-    /// the session's universe.
-    #[deprecated(
-        since = "0.2.0",
-        note = "run `Query::enumerate(..).on_model(model)` on a `checkfence::query::Engine` instead"
-    )]
-    pub fn enumerate_observations_model(&mut self, model: ModelSel) -> Result<ObsSet, CheckError> {
-        self.query_enumerate(model, &[], &[], &mut PhaseStats::default())
-    }
-
-    /// [`CheckSession::enumerate_observations_model`] with exactly the
-    /// mutation toggle sites in `active_toggles` switched to their
-    /// mutant branch — the observable behavior of one program mutant
-    /// under one model, answered from the shared encoding.
-    ///
-    /// # Errors
-    ///
-    /// Infrastructure errors only. Panics if the model is not part of
-    /// the session's universe.
-    #[deprecated(
-        since = "0.2.0",
-        note = "run `Query::enumerate(..).on_model(model).with_toggles(sites)` on a \
-                `checkfence::query::Engine` instead"
-    )]
-    pub fn enumerate_observations_toggled(
-        &mut self,
-        model: ModelSel,
-        active_toggles: &[u32],
-    ) -> Result<ObsSet, CheckError> {
-        self.query_enumerate(model, &[], active_toggles, &mut PhaseStats::default())
     }
 
     /// The [`QueryKind::Enumerate`](crate::query::QueryKind::Enumerate)
@@ -526,136 +286,11 @@ impl<'h> CheckSession<'h> {
         Ok(vectors)
     }
 
-    /// Checks that every execution under `mode` produces an observation
-    /// in `spec` and raises no runtime error, with every candidate fence
-    /// site inactive.
-    ///
-    /// # Errors
-    ///
-    /// Infrastructure errors only; verification failures are reported as
-    /// [`CheckOutcome::Fail`]. Panics if `mode` is not in the session's
-    /// mode set.
-    #[deprecated(
-        since = "0.2.0",
-        note = "run `Query::check_inclusion(..).on(mode)` on a `checkfence::query::Engine` instead"
-    )]
-    pub fn check_inclusion(
-        &mut self,
-        mode: Mode,
-        spec: &ObsSet,
-    ) -> Result<InclusionResult, CheckError> {
-        self.inclusion_result(ModelSel::Builtin(mode), spec, &[], &[])
-    }
-
-    /// Like [`CheckSession::check_inclusion`], with exactly the candidate
-    /// fence sites in `active_sites` activated — the fence-inference
-    /// inner loop: one assumption vector per candidate build.
-    ///
-    /// # Errors
-    ///
-    /// Infrastructure errors only. Panics if `mode` is not in the
-    /// session's mode set.
-    #[deprecated(
-        since = "0.2.0",
-        note = "run `Query::check_inclusion(..).on(mode).with_fences(sites)` on a \
-                `checkfence::query::Engine` instead"
-    )]
-    pub fn check_inclusion_with_fences(
-        &mut self,
-        mode: Mode,
-        spec: &ObsSet,
-        active_sites: &[u32],
-    ) -> Result<InclusionResult, CheckError> {
-        self.inclusion_result(ModelSel::Builtin(mode), spec, active_sites, &[])
-    }
-
-    /// [`CheckSession::check_inclusion`] for any encoded model — a
-    /// built-in mode or a declarative spec of the session's universe.
-    ///
-    /// # Errors
-    ///
-    /// Infrastructure errors only. Panics if the model is not part of
-    /// the session's universe.
-    #[deprecated(
-        since = "0.2.0",
-        note = "run `Query::check_inclusion(..).on_model(model)` on a \
-                `checkfence::query::Engine` instead"
-    )]
-    pub fn check_inclusion_model(
-        &mut self,
-        model: ModelSel,
-        spec: &ObsSet,
-    ) -> Result<InclusionResult, CheckError> {
-        self.inclusion_result(model, spec, &[], &[])
-    }
-
-    /// [`CheckSession::check_inclusion_with_fences`] for any encoded
-    /// model: declarative specs see candidate fences through their
-    /// `fence` relation, so spec models drive fence-inference sessions
-    /// exactly like built-ins.
-    ///
-    /// # Errors
-    ///
-    /// Infrastructure errors only. Panics if the model is not part of
-    /// the session's universe.
-    #[deprecated(
-        since = "0.2.0",
-        note = "run `Query::check_inclusion(..).on_model(model).with_fences(sites)` on a \
-                `checkfence::query::Engine` instead"
-    )]
-    pub fn check_inclusion_model_with_fences(
-        &mut self,
-        model: ModelSel,
-        spec: &ObsSet,
-        active_sites: &[u32],
-    ) -> Result<InclusionResult, CheckError> {
-        self.inclusion_result(model, spec, active_sites, &[])
-    }
-
-    /// [`CheckSession::check_inclusion_model`] with exactly the mutation
-    /// toggle sites in `active_toggles` switched to their mutant branch
-    /// — the batched-mutation inner loop: one assumption vector per
-    /// mutant, no re-encode, no cold solver (see [`crate::mutate`]).
-    ///
-    /// # Errors
-    ///
-    /// Infrastructure errors only. Panics if the model is not part of
-    /// the session's universe.
-    #[deprecated(
-        since = "0.2.0",
-        note = "run `Query::check_inclusion(..).on_model(model).with_toggles(sites)` on a \
-                `checkfence::query::Engine` instead"
-    )]
-    pub fn check_inclusion_toggled(
-        &mut self,
-        model: ModelSel,
-        spec: &ObsSet,
-        active_toggles: &[u32],
-    ) -> Result<InclusionResult, CheckError> {
-        self.inclusion_result(model, spec, &[], active_toggles)
-    }
-
-    /// The legacy adapter of the inclusion shims: runs the query body
-    /// with a local accumulator and wraps it into an [`InclusionResult`].
-    fn inclusion_result(
-        &mut self,
-        model: ModelSel,
-        spec: &ObsSet,
-        active_sites: &[u32],
-        active_toggles: &[u32],
-    ) -> Result<InclusionResult, CheckError> {
-        let t0 = Instant::now();
-        let mut stats = PhaseStats::default();
-        let outcome =
-            self.query_inclusion(model, spec, active_sites, active_toggles, &mut stats)?;
-        stats.total_time = t0.elapsed();
-        Ok(InclusionResult { outcome, stats })
-    }
-
     /// The
     /// [`QueryKind::CheckInclusion`](crate::query::QueryKind::CheckInclusion)
-    /// body, shared by every inclusion shim: candidate-fence sites and
-    /// mutation toggles are both just assumption polarities. Phase
+    /// body: checks that every execution under `model` produces an
+    /// observation in `spec` and raises no runtime error. Candidate-fence
+    /// sites and mutation toggles are both just assumption polarities. Phase
     /// timings accumulate into `stats` — also on the error path — and
     /// the caller stamps `total_time`.
     pub(crate) fn query_inclusion(
@@ -669,8 +304,8 @@ impl<'h> CheckSession<'h> {
         self.stats.queries += 1;
         self.last_provenance = None;
         let prov = self.config.provenance;
-        let min_ticks = self.config.core_minimize_ticks;
-        let verify = self.config.verify_cores;
+        let min_ticks = self.config.check.core_minimize_ticks;
+        let verify = self.config.check.verify_cores;
         // Building the state populates `fence_coords` (the fence-wrap
         // pass runs there); force it before snapshotting the map, or
         // the very first query would see no coordinates.
@@ -768,40 +403,19 @@ impl<'h> CheckSession<'h> {
         result
     }
 
-    /// Runs the commit-point method (the Fig. 12 baseline) under `mode`,
-    /// reusing the persistent encoding; the abstract machine circuit is
-    /// built once per session and gated on a per-machine literal, so
-    /// commit queries coexist with observation queries on one solver.
+    /// The
+    /// [`QueryKind::CommitMethod`](crate::query::QueryKind::CommitMethod)
+    /// body: runs the commit-point method (the Fig. 12 baseline) under
+    /// `mode`, reusing the persistent encoding; the abstract machine
+    /// circuit is built once per session and gated on a per-machine
+    /// literal, so commit queries coexist with observation queries on
+    /// one solver. Phase timings accumulate into `stats` — also on the
+    /// error path — and the caller stamps `total_time`.
     ///
     /// # Errors
     ///
     /// [`CheckError::SymExec`] if an operation lacks commit annotations;
-    /// the usual infrastructure errors otherwise. Panics if `mode` is not
-    /// in the session's mode set.
-    #[deprecated(
-        since = "0.2.0",
-        note = "run `Query::commit_method(..).on(mode)` on a `checkfence::query::Engine` instead"
-    )]
-    pub fn check_commit_method(
-        &mut self,
-        mode: Mode,
-        ty: AbstractType,
-    ) -> Result<InclusionResult, CheckError> {
-        let t0 = Instant::now();
-        let mut stats = PhaseStats::default();
-        let outcome = self.query_commit(mode, ty, &mut stats)?;
-        stats.total_time = t0.elapsed();
-        Ok(InclusionResult { outcome, stats })
-    }
-
-    /// The
-    /// [`QueryKind::CommitMethod`](crate::query::QueryKind::CommitMethod)
-    /// body. Phase timings accumulate into `stats` — also on the error
-    /// path — and the caller stamps `total_time`.
-    ///
-    /// # Errors
-    ///
-    /// As the deprecated [`CheckSession::check_commit_method`] shim.
+    /// the usual infrastructure errors otherwise.
     pub(crate) fn query_commit(
         &mut self,
         mode: Mode,
@@ -816,6 +430,7 @@ impl<'h> CheckSession<'h> {
 
     /// Builds (or reuses) the encoding for the current loop bounds.
     fn ensure_state(&mut self, stats: &mut PhaseStats) -> Result<(), CheckError> {
+        let check = &self.config.check;
         if self.state.is_none() {
             if self.config.provenance && self.prov_harness.is_none() {
                 let (wrapped, coords) = wrap_fences(self.harness);
@@ -823,16 +438,16 @@ impl<'h> CheckSession<'h> {
                 self.fence_coords = coords;
             }
             let harness: &Harness = self.prov_harness.as_deref().unwrap_or(self.harness);
-            let sx = execute(harness, self.test, &self.bounds, self.config.spin_bound)?;
+            let sx = execute(harness, self.test, &self.bounds, check.spin_bound)?;
             self.stats.symexecs += 1;
             let t0 = Instant::now();
-            let range = analyze(&sx, self.config.range_analysis);
+            let range = analyze(&sx, check.range_analysis);
             let mut enc = Encoding::build_full(
                 &sx,
                 &range,
                 self.config.modes,
                 &self.config.specs,
-                self.config.order_encoding,
+                check.order_encoding,
                 self.config.provenance,
             );
             stats.encode_time += t0.elapsed();
@@ -867,13 +482,10 @@ impl<'h> CheckSession<'h> {
             });
         }
         let st = self.state.as_mut().expect("state built");
-        st.enc
-            .cnf
-            .solver
-            .set_conflict_budget(self.config.conflict_budget);
-        st.enc.cnf.solver.set_tick_budget(self.config.tick_budget);
+        st.enc.cnf.solver.set_conflict_budget(check.conflict_budget);
+        st.enc.cnf.solver.set_tick_budget(check.tick_budget);
         st.enc.cnf.solver.set_deadline(self.config.deadline_at);
-        st.enc.cnf.solver.set_config(self.config.solver_config);
+        st.enc.cnf.solver.set_config(check.solver_config);
         // The trace observer on the solver: re-armed on every query so
         // enabling/disabling tracing between batches takes effect. Each
         // solve call reports its result and counter deltas into the
@@ -985,7 +597,7 @@ impl<'h> CheckSession<'h> {
             &mut PhaseStats,
         ) -> Result<Round<T>, CheckError>,
     ) -> Result<T, CheckError> {
-        for round in 0..self.config.max_bound_rounds {
+        for round in 0..self.config.check.max_bound_rounds {
             stats.bound_rounds = round + 1;
             self.ensure_state(stats)?;
             let st = self.state.as_mut().expect("state built");
@@ -1026,7 +638,7 @@ impl<'h> CheckSession<'h> {
         ty: AbstractType,
         stats: &mut PhaseStats,
     ) -> Result<CheckOutcome, CheckError> {
-        for round in 0..self.config.max_bound_rounds {
+        for round in 0..self.config.check.max_bound_rounds {
             stats.bound_rounds = round + 1;
             self.ensure_state(stats)?;
             let st = self.state.as_mut().expect("state built");

@@ -18,7 +18,7 @@
 //!   models;
 //! * the `checkfence` core compiles the same spec into the CNF relation
 //!   encoding, gated behind a per-spec *selector literal*, so user
-//!   models slot into incremental `CheckSession`s next to the
+//!   models slot into the engine's incremental sessions next to the
 //!   built-ins (encode once, toggle models as assumptions).
 //!
 //! The five built-in modes ship as bundled `.cfm` files ([`bundled`]),

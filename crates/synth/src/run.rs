@@ -33,12 +33,11 @@
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use cf_memmodel::{Mode, ModeSet};
 use cf_spec::ModelSpec;
+use checkfence::pool::run_indexed;
 use checkfence::{
     mine_reference, CheckConfig, CheckError, Engine, EngineConfig, Harness, ModelSel, ObsSet,
     Query, TestSpec,
@@ -328,29 +327,6 @@ impl CorpusReport {
     }
 }
 
-/// Runs `n` jobs on up to `jobs` worker threads, results in index
-/// order (the engine cannot help with reference mining, so the fan-out
-/// lives here).
-fn fan_out<R: Send>(jobs: usize, n: usize, work: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.clamp(1, n.max(1)) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = work(i);
-                results.lock().expect("no poisoned worker").push((i, r));
-            });
-        }
-    });
-    let mut indexed = results.into_inner().expect("workers joined");
-    indexed.sort_by_key(|(i, _)| *i);
-    indexed.into_iter().map(|(_, r)| r).collect()
-}
-
 /// Checks every test of a corpus against one harness across the
 /// configured model universe, as one engine batch.
 ///
@@ -384,7 +360,7 @@ pub fn run_corpus(harness: &Harness, tests: &[TestSpec], config: &CorpusConfig) 
         .collect();
 
     // Mine each test's reference specification once, in parallel.
-    let mined: Vec<Result<ObsSet, String>> = fan_out(config.jobs, tests.len(), |i| {
+    let mined: Vec<Result<ObsSet, String>> = run_indexed(config.jobs, tests.len(), |i| {
         mine_reference(harness, &tests[i])
             .map(|m| m.spec)
             .map_err(|e| e.to_string())

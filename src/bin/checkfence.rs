@@ -718,7 +718,7 @@ fn run_with(opts: &Options) -> Result<RunStatus, String> {
         // Mining fans out across --jobs workers too (reference-
         // interpreter enumeration can dominate; the cache path is safe
         // because --spec-cache implies exactly one test).
-        cf_bench::parallel::run_indexed(opts.jobs, tests.len(), |i| {
+        checkfence::pool::run_indexed(opts.jobs, tests.len(), |i| {
             mined_spec(&harness, &tests[i], opts.spec_cache.as_ref())
         })
         .into_iter()

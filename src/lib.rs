@@ -46,10 +46,12 @@
 //!
 //! let harness = cf_algos::msn::harness(cf_algos::Variant::Fenced);
 //! let test = cf_algos::tests::by_name("T0").expect("catalog test");
-//! let checker = Checker::new(&harness, &test).with_memory_model(Mode::Relaxed);
-//! let spec = checker.mine_spec_reference().expect("mining").spec;
-//! let result = checker.check_inclusion(&spec).expect("checking");
-//! assert!(result.outcome.passed());
+//! let spec = mine_reference(&harness, &test).expect("mining").spec;
+//! let verdict = Query::check_inclusion(&harness, &test, spec)
+//!     .on(Mode::Relaxed)
+//!     .run()
+//!     .expect("checking");
+//! assert!(verdict.passed());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -104,8 +106,8 @@ pub mod prelude {
     pub use checkfence::commit::AbstractType;
     pub use checkfence::infer::{infer, InferConfig};
     pub use checkfence::{
-        mine_reference, Answer, CheckError, CheckOutcome, CheckSession, Checker, Counterexample,
-        Engine, EngineConfig, Harness, ModelSel, ObsSet, OpSig, OrderEncoding, Query, QueryKind,
-        QueryStats, SessionConfig, TestSpec, Verdict,
+        mine_reference, Answer, CheckError, CheckOutcome, Counterexample, Engine, EngineConfig,
+        Harness, ModelSel, ObsSet, OpSig, OrderEncoding, Query, QueryKind, QueryStats, TestSpec,
+        Verdict,
     };
 }
