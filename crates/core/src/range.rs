@@ -157,6 +157,15 @@ pub fn analyze(sx: &SymExec, enabled: bool) -> RangeInfo {
         // Initial values for loads are handled through `init_value`; other
         // roots seed directly. Iterate to fixpoint.
         let locations = sx.space.all_scalar_locations(&sx.types);
+        // The `(addr, value)` terms of every store, collected once: each
+        // load result unions the values of its possibly-aliasing stores
+        // in every round.
+        let stores: Vec<(usize, usize)> = sx
+            .events
+            .iter()
+            .filter(|e| e.kind == AccessKind::Store)
+            .map(|e| (e.addr.0 as usize, e.value.0 as usize))
+            .collect();
         loop {
             let mut changed = false;
             for id in 0..n {
@@ -170,20 +179,16 @@ pub fn analyze(sx: &SymExec, enabled: bool) -> RangeInfo {
                         // Union of initial values of candidate locations and
                         // the values of possibly-aliasing stores.
                         let load = &sx.events[eid.index()];
-                        let addr_set = sets[load.addr.0 as usize].clone();
+                        let addr_set = &sets[load.addr.0 as usize];
                         let mut out = ValueSet::empty();
                         for loc in &locations {
                             if addr_set.may_be_ptr_to(loc) {
-                                out.union_from(&ValueSet::single(init_value(sx, loc)), SET_BUDGET);
+                                out.insert(init_value(sx, loc), SET_BUDGET);
                             }
                         }
-                        for s in &sx.events {
-                            if s.kind != AccessKind::Store {
-                                continue;
-                            }
-                            let s_addr = &sets[s.addr.0 as usize];
-                            if s_addr.may_intersect(&addr_set) {
-                                out.union_from(&sets[s.value.0 as usize], SET_BUDGET);
+                        for &(s_addr, s_value) in &stores {
+                            if sets[s_addr].may_intersect(addr_set) {
+                                out.union_from(&sets[s_value], SET_BUDGET);
                             }
                         }
                         out
@@ -201,9 +206,7 @@ pub fn analyze(sx: &SymExec, enabled: bool) -> RangeInfo {
                 };
                 let slot = &mut sets[id];
                 if slot != &new_vals {
-                    let before = slot.clone();
-                    slot.union_from(&new_vals, SET_BUDGET);
-                    changed |= *slot != before;
+                    changed |= slot.union_from(&new_vals, SET_BUDGET);
                 }
             }
             if !changed {
@@ -295,15 +298,16 @@ fn bits_for(n: u64) -> usize {
 }
 
 fn apply_prim(op: cf_lsl::PrimOp, args: &[&ValueSet]) -> ValueSet {
-    // Cartesian application with a budget.
-    let mut finite: Vec<&BTreeSet<Value>> = Vec::with_capacity(args.len());
+    // Cartesian application with a budget. Each operand set is
+    // flattened once, so the product walk indexes in constant time.
+    let mut finite: Vec<Vec<&Value>> = Vec::with_capacity(args.len());
     let mut product = 1usize;
     for a in args {
         match a {
             ValueSet::Top => return ValueSet::Top,
             ValueSet::Finite(s) => {
                 product = product.saturating_mul(s.len().max(1));
-                finite.push(s);
+                finite.push(s.iter().collect());
             }
         }
     }
@@ -319,7 +323,7 @@ fn apply_prim(op: cf_lsl::PrimOp, args: &[&ValueSet]) -> ValueSet {
         let vals: Vec<Value> = finite
             .iter()
             .zip(&idx)
-            .map(|(s, &i)| s.iter().nth(i).expect("index in range").clone())
+            .map(|(s, &i)| s[i].clone())
             .collect();
         let v = op.eval(&vals).unwrap_or(Value::Undefined);
         out.insert(v, SET_BUDGET);
