@@ -7,13 +7,13 @@
 //! The generator is a deterministic xorshift (matching the
 //! `mutation_equiv.rs` style), so failures replay bit for bit.
 
-use cf_algos::{ms2, tests, treiber, Variant};
+use cf_algos::{ms2, msn, tests, treiber, Variant};
 use cf_memmodel::{Mode, ModeSet};
 use cf_sat::xorshift::Rng;
 use checkfence::mutate::{MutationConfig, MutationPlan};
 use checkfence::{
-    mine_reference, oracle, CheckConfig, CheckOutcome, Engine, EngineConfig, Harness, ObsSet,
-    Query, TestSpec,
+    mine_reference, oracle, CheckConfig, CheckOutcome, Engine, EngineConfig, FailureKind, Harness,
+    ObsSet, Query, TestSpec,
 };
 
 /// What a query answered, reduced to comparable data.
@@ -186,6 +186,42 @@ fn ms2_random_query_batches_match_oneshot() {
     let h = ms2::harness(Variant::Fenced);
     let t = tests::by_name("T0").expect("catalog");
     assert_oneshot_equivalence(&h, &t, 0xFACE_FEED, 10);
+}
+
+/// The failure kind belongs to the program, not to the first witness
+/// the solver finds. Unfenced msn `T0` under relaxed has both kinds of
+/// failing execution: some dereference an invalid address, and some
+/// error-free ones observe what no serial execution does. Against the
+/// mined spec the engine and the oracle must both report the
+/// inconsistency; against the relaxed model's own observation set no
+/// error-free execution mismatches, so both must report the error.
+#[test]
+fn engine_and_oracle_agree_on_the_failure_kind() {
+    let h = msn::harness(Variant::Unfenced);
+    let t = tests::by_name("T0").expect("catalog");
+    let config = CheckConfig::default();
+    let mined = mine_reference(&h, &t).expect("mines").spec;
+    let relaxed = oracle::enumerate(&h, &t, Mode::Relaxed, &config).expect("enumerates");
+    for (spec, want) in [
+        (mined, FailureKind::InconsistentObservation),
+        (relaxed, FailureKind::RuntimeError),
+    ] {
+        let engine = Query::check_inclusion(&h, &t, spec.clone())
+            .on(Mode::Relaxed)
+            .run()
+            .expect("engine checks")
+            .into_outcome()
+            .expect("outcome");
+        let oneshot = oracle::check_inclusion(&h, &t, Mode::Relaxed, &spec, &config)
+            .expect("oracle checks")
+            .outcome;
+        for (path, outcome) in [("engine", engine), ("oracle", oneshot)] {
+            match outcome {
+                CheckOutcome::Fail(cx) => assert_eq!(cx.kind, want, "{path}: {cx}"),
+                CheckOutcome::Pass => panic!("{path}: unfenced msn must fail on relaxed"),
+            }
+        }
+    }
 }
 
 #[test]

@@ -23,8 +23,9 @@ use std::time::Duration;
 
 use cf_lsl::Value;
 use cf_memmodel::AccessKind;
+use cf_sat::{Lit, SolveResult};
 
-use crate::encode::{Encoding, OrderEncoding};
+use crate::encode::{Encoding, ModelSel, OrderEncoding};
 use crate::symexec::{SymExec, SymExecError, UnrollStats};
 use crate::test_spec::TestSpec;
 
@@ -144,11 +145,19 @@ pub struct TraceStep {
 }
 
 /// Why the check failed.
+///
+/// The kind belongs to the program, not to the witness the solver found:
+/// a check fails with `InconsistentObservation` when some error-free,
+/// within-bounds execution has a mismatching observation (or commit
+/// order), and with `RuntimeError` only when every failing execution
+/// raises an error.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FailureKind {
-    /// The observation is not produced by any serial execution.
+    /// Some error-free execution produces an observation no serial
+    /// execution produces.
     InconsistentObservation,
-    /// A runtime error (assertion, undefined value, bad address).
+    /// A runtime error (assertion, undefined value, bad address), and
+    /// no error-free execution is inconsistent.
     RuntimeError,
     /// The failure was found during serial specification mining — the
     /// algorithm is broken even without memory-model relaxations.
@@ -452,6 +461,54 @@ pub(crate) fn decode_counterexample(
         model,
         violated_axiom: None,
     }
+}
+
+/// Decodes the failure of a satisfiable refutation: the solver's
+/// current model satisfies `asm ∧ (error ∨ mismatch)`, where `error` is
+/// [`Encoding::error_lit`] and `mismatch` is the query's own violation
+/// (an observation outside the specification, or a commit-order
+/// mismatch).
+///
+/// The [`FailureKind`] is a property of the program, not of whichever
+/// disjunct the witness happens to satisfy: the failure is an
+/// [`FailureKind::InconsistentObservation`] iff some error-free execution
+/// under `asm` satisfies `mismatch`, and a [`FailureKind::RuntimeError`]
+/// otherwise. So when the witness raised an error, it is decoded first,
+/// and one more `solve` under `asm ∧ ¬error ∧ mismatch` decides: Sat
+/// replaces it by that consistency witness, Unsat keeps it. Witnesses of
+/// a declarative model also name the serializability axiom they break.
+///
+/// # Errors
+///
+/// [`CheckError::Exhausted`] if the deciding solve runs out of budget.
+pub(crate) fn decode_failure(
+    sx: &SymExec,
+    enc: &mut Encoding,
+    model: ModelSel,
+    asm: &[Lit],
+    mismatch: Lit,
+    mut solve: impl FnMut(&mut Encoding, &[Lit]) -> SolveResult,
+) -> Result<Counterexample, CheckError> {
+    let name = enc.model_name(model);
+    if enc.cnf.lit_value(enc.error_lit) {
+        let cx = decode_counterexample(sx, enc, FailureKind::RuntimeError, name.clone());
+        let mut clean = asm.to_vec();
+        clean.push(!enc.error_lit);
+        clean.push(mismatch);
+        match solve(enc, &clean) {
+            SolveResult::Sat => {}
+            SolveResult::Unsat => return Ok(cx),
+            SolveResult::Unknown => return Err(exhausted_err(&enc.cnf.solver)),
+        }
+    }
+    let mut cx = decode_counterexample(sx, enc, FailureKind::InconsistentObservation, name);
+    // Spec-model reports name the serializability axiom the witness
+    // breaks (the spec's `model` header alone does not say *why* the
+    // execution is inconsistent).
+    if matches!(model, ModelSel::Spec(_)) {
+        cx.violated_axiom = diagnose_serializability(sx, enc);
+    }
+    Ok(cx)
 }
 
 /// Replays the current witness against the bundled `sc` spec and names

@@ -4,6 +4,16 @@
 //! this builder into the clause database of the [`cf_sat::Solver`]. Gates
 //! are cached structurally, constants fold away, and bitvectors are
 //! little-endian `Vec<Lit>`s.
+//!
+//! Conjunctions and disjunctions of any width are *one* gate:
+//! [`CnfBuilder::and_many`] defines a k-input AND with one fresh
+//! variable and `k + 1` clauses, where a chain of binary ANDs would
+//! spend `k − 1` variables and `3(k − 1)` clauses, and make every
+//! propagation cascade walk each link. A multiplexer
+//! ([`CnfBuilder::ite`]) is likewise one variable, with two redundant
+//! clauses that keep unit propagation as strong as the three-gate form.
+//! The caches only answer lookups and are never iterated, so the
+//! clause order depends on the call order alone.
 
 use cf_sat::{Lit, Solver};
 
@@ -19,6 +29,11 @@ pub struct CnfBuilder {
     // hot path, where SipHash is measurably slower.
     and_cache: FxHashMap<(Lit, Lit), Lit>,
     xor_cache: FxHashMap<(Lit, Lit), Lit>,
+    /// N-ary conjunctions (three or more inputs), keyed on the sorted,
+    /// deduplicated input list.
+    and_many_cache: FxHashMap<Vec<Lit>, Lit>,
+    /// Multiplexers keyed on `(c, a, b)` with `c` and `a` positive.
+    ite_cache: FxHashMap<(Lit, Lit, Lit), Lit>,
     clauses: u64,
 }
 
@@ -39,6 +54,8 @@ impl CnfBuilder {
             true_lit: t,
             and_cache: FxHashMap::default(),
             xor_cache: FxHashMap::default(),
+            and_many_cache: FxHashMap::default(),
+            ite_cache: FxHashMap::default(),
             clauses: 0,
         }
     }
@@ -166,38 +183,118 @@ impl CnfBuilder {
         !self.xor(a, b)
     }
 
-    /// `if c then a else b`.
+    /// `if c then a else b` (cached, constant-folded).
+    ///
+    /// A non-degenerate mux is one fresh variable `g` with the four
+    /// defining clauses plus the two redundant ones `¬a ∨ ¬b ∨ g` and
+    /// `a ∨ b ∨ ¬g`, which let unit propagation fix `g` from equal
+    /// branches while `c` is still open.
     pub fn ite(&mut self, c: Lit, a: Lit, b: Lit) -> Lit {
-        if c == self.tt() {
+        let (tt, ff) = (self.tt(), self.ff());
+        if c == tt {
             return a;
         }
-        if c == self.ff() {
+        if c == ff {
             return b;
         }
         if a == b {
             return a;
         }
-        let x = self.and(c, a);
-        let y = self.and(!c, b);
-        self.or(x, y)
+        if a == !b {
+            return self.iff(c, a);
+        }
+        if a == tt || a == c {
+            return self.or(c, b);
+        }
+        if a == ff || a == !c {
+            return self.and(!c, b);
+        }
+        if b == tt || b == !c {
+            return self.or(!c, a);
+        }
+        if b == ff || b == c {
+            return self.and(c, a);
+        }
+        // Canonical key: `ite(¬c, a, b) = ite(c, b, a)` and
+        // `ite(c, ¬a, ¬b) = ¬ite(c, a, b)`.
+        let (c, a, b) = if c.sign() { (c, a, b) } else { (!c, b, a) };
+        let (a, b, flip) = if a.sign() {
+            (a, b, false)
+        } else {
+            (!a, !b, true)
+        };
+        let key = (c, a, b);
+        let g = if let Some(&g) = self.ite_cache.get(&key) {
+            g
+        } else {
+            let g = self.fresh();
+            self.clause([!c, !a, g]);
+            self.clause([!c, a, !g]);
+            self.clause([c, !b, g]);
+            self.clause([c, b, !g]);
+            self.clause([!a, !b, g]);
+            self.clause([a, b, !g]);
+            self.ite_cache.insert(key, g);
+            g
+        };
+        if flip {
+            !g
+        } else {
+            g
+        }
     }
 
-    /// Conjunction of many literals.
+    /// Conjunction of many literals: one gate for the whole list
+    /// (cached, constant-folded).
+    ///
+    /// `ff` inputs fold the gate to `ff`, `tt` inputs drop out, and
+    /// duplicates merge; a complementary pair gives `ff`. Zero, one or
+    /// two remaining inputs give `tt`, the input itself, or the binary
+    /// [`CnfBuilder::and`]. Three or more give one fresh `g` with
+    /// `¬g ∨ aᵢ` per input and `g ∨ ¬a₁ ∨ … ∨ ¬a_k`.
     pub fn and_many(&mut self, lits: &[Lit]) -> Lit {
-        let mut acc = self.tt();
+        let (tt, ff) = (self.tt(), self.ff());
+        let mut xs: Vec<Lit> = Vec::with_capacity(lits.len());
         for &l in lits {
-            acc = self.and(acc, l);
+            if l == ff {
+                return ff;
+            }
+            if l != tt {
+                xs.push(l);
+            }
         }
-        acc
+        xs.sort_unstable();
+        xs.dedup();
+        // A literal and its negation differ only in the low bit, so
+        // sorting makes a complementary pair adjacent.
+        if xs.windows(2).any(|w| w[0] == !w[1]) {
+            return ff;
+        }
+        match xs[..] {
+            [] => return tt,
+            [x] => return x,
+            [x, y] => return self.and(x, y),
+            _ => {}
+        }
+        if let Some(&g) = self.and_many_cache.get(&xs) {
+            return g;
+        }
+        let g = self.fresh();
+        for &x in &xs {
+            self.clause([!g, x]);
+        }
+        let mut long = Vec::with_capacity(xs.len() + 1);
+        long.push(g);
+        long.extend(xs.iter().map(|&x| !x));
+        self.clause(long);
+        self.and_many_cache.insert(xs, g);
+        g
     }
 
-    /// Disjunction of many literals.
+    /// Disjunction of many literals (De Morgan over [`CnfBuilder::and_many`]).
     pub fn or_many(&mut self, lits: &[Lit]) -> Lit {
-        let mut acc = self.ff();
-        for &l in lits {
-            acc = self.or(acc, l);
-        }
-        acc
+        let negated: Vec<Lit> = lits.iter().map(|&l| !l).collect();
+        !self.and_many(&negated)
     }
 
     // ---------------------------------------------------------- bitvectors
@@ -214,15 +311,11 @@ impl CnfBuilder {
         (0..width).map(|_| self.fresh()).collect()
     }
 
-    /// Bitwise equality.
+    /// Bitwise equality (one conjunction over the per-bit `iff`s).
     pub fn bv_eq(&mut self, a: &[Lit], b: &[Lit]) -> Lit {
         assert_eq!(a.len(), b.len(), "width mismatch");
-        let mut acc = self.tt();
-        for (&x, &y) in a.iter().zip(b) {
-            let e = self.iff(x, y);
-            acc = self.and(acc, e);
-        }
-        acc
+        let bits: Vec<Lit> = a.iter().zip(b).map(|(&x, &y)| self.iff(x, y)).collect();
+        self.and_many(&bits)
     }
 
     /// Bitwise mux.
@@ -363,6 +456,164 @@ mod tests {
         assert_eq!(b.and(x, y), b.and(y, x));
         assert_eq!(b.xor(x, y), b.xor(y, x));
         assert_eq!(b.xor(!x, y), !b.xor(x, y), "xor sign folding");
+    }
+
+    /// Checks that under every assignment of `vars`, `gate` is forced to
+    /// `expected(assignment)`: the assignment with the expected value is
+    /// satisfiable and the assignment with the other value is not.
+    fn assert_truth_table(
+        b: &mut CnfBuilder,
+        vars: &[Lit],
+        gate: Lit,
+        expected: impl Fn(&dyn Fn(Lit) -> bool) -> bool,
+        what: &str,
+    ) {
+        let (tt, ff) = (b.tt(), b.ff());
+        for bits in 0u32..1 << vars.len() {
+            let value = |l: Lit| -> bool {
+                if l == tt {
+                    return true;
+                }
+                if l == ff {
+                    return false;
+                }
+                let i = vars
+                    .iter()
+                    .position(|v| v.var() == l.var())
+                    .expect("literal over the test variables");
+                (bits >> i & 1 == 1) == l.sign()
+            };
+            let want = expected(&value);
+            let mut asm: Vec<Lit> = vars
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| if bits >> i & 1 == 1 { v } else { !v })
+                .collect();
+            asm.push(if want { gate } else { !gate });
+            assert_eq!(
+                b.solver.solve_with(&asm),
+                SolveResult::Sat,
+                "{what}: consistent at {bits:b}"
+            );
+            asm.pop();
+            asm.push(if want { !gate } else { gate });
+            assert_eq!(
+                b.solver.solve_with(&asm),
+                SolveResult::Unsat,
+                "{what}: forced to {want} at {bits:b}"
+            );
+        }
+    }
+
+    /// Every input list of up to `max_len` entries over `pool`.
+    fn lists(pool: &[Lit], max_len: usize) -> Vec<Vec<Lit>> {
+        let mut out = vec![Vec::new()];
+        let mut frontier = vec![Vec::new()];
+        for _ in 0..max_len {
+            let mut next = Vec::new();
+            for l in &frontier {
+                for &x in pool {
+                    let mut l2: Vec<Lit> = l.clone();
+                    l2.push(x);
+                    next.push(l2);
+                }
+            }
+            out.extend(next.iter().cloned());
+            frontier = next;
+        }
+        out
+    }
+
+    #[test]
+    fn and_many_or_many_truth_tables() {
+        let mut b = CnfBuilder::new();
+        let vars: Vec<Lit> = (0..4).map(|_| b.fresh()).collect();
+        // Constants, both polarities, duplicates and complementary pairs:
+        // every list of up to three entries over this pool.
+        let mut pool = vec![b.tt(), b.ff()];
+        for &v in &vars[..3] {
+            pool.extend([v, !v]);
+        }
+        let mut inputs = lists(&pool, 3);
+        // Four distinct inputs in every polarity.
+        for signs in 0u32..16 {
+            let l: Vec<Lit> = (0..4)
+                .map(|i| {
+                    if signs >> i & 1 == 1 {
+                        vars[i]
+                    } else {
+                        !vars[i]
+                    }
+                })
+                .collect();
+            inputs.push(l.iter().rev().copied().collect());
+            inputs.push(l);
+        }
+        for l in &inputs {
+            let g = b.and_many(l);
+            assert_truth_table(&mut b, &vars, g, |v| l.iter().all(|&x| v(x)), "and_many");
+            let g = b.or_many(l);
+            assert_truth_table(&mut b, &vars, g, |v| l.iter().any(|&x| v(x)), "or_many");
+        }
+    }
+
+    #[test]
+    fn ite_truth_table() {
+        let mut b = CnfBuilder::new();
+        let vars: Vec<Lit> = (0..3).map(|_| b.fresh()).collect();
+        let mut pool = vec![b.tt(), b.ff()];
+        for &v in &vars {
+            pool.extend([v, !v]);
+        }
+        // Every (c, a, b) over constants and both polarities of three
+        // variables: the degenerate folds (constant or ±c branches,
+        // a == ±b) and the canonicalized general case alike.
+        for &c in &pool {
+            for &x in &pool {
+                for &y in &pool {
+                    let g = b.ite(c, x, y);
+                    assert_truth_table(&mut b, &vars, g, |v| if v(c) { v(x) } else { v(y) }, "ite");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nary_gate_folding_and_caching() {
+        let mut b = CnfBuilder::new();
+        let (x, y, z) = (b.fresh(), b.fresh(), b.fresh());
+        let (tt, ff) = (b.tt(), b.ff());
+        // Folds: no gate is built for these.
+        let before = b.num_vars();
+        assert_eq!(b.and_many(&[]), tt);
+        assert_eq!(b.or_many(&[]), ff);
+        assert_eq!(b.and_many(&[x, tt, x]), x);
+        assert_eq!(b.and_many(&[x, y, ff, z]), ff);
+        assert_eq!(b.and_many(&[x, y, !x]), ff);
+        assert_eq!(b.or_many(&[x, y, !x]), tt);
+        assert_eq!(b.or_many(&[ff, z, ff]), z);
+        assert_eq!(b.ite(x, y, y), y);
+        assert_eq!(b.ite(tt, y, z), y);
+        assert_eq!(b.ite(ff, y, z), z);
+        assert_eq!(b.num_vars(), before);
+        // Two inputs are the binary gate.
+        let xy = b.and(x, y);
+        assert_eq!(b.and_many(&[y, tt, x, y]), xy);
+        assert_eq!(b.or_many(&[!x, !y]), !xy);
+        // Three or more: one fresh variable, shared by every spelling.
+        let g = b.and_many(&[x, y, z]);
+        let after = b.num_vars();
+        assert_eq!(after, before + 2);
+        assert_eq!(b.and_many(&[z, x, y, x, tt]), g);
+        assert_eq!(b.or_many(&[!y, !z, !x]), !g);
+        // Mux: one fresh variable, shared across the canonical forms.
+        let m = b.ite(x, y, z);
+        assert_eq!(b.num_vars(), after + 1);
+        assert_eq!(b.ite(x, y, z), m);
+        assert_eq!(b.ite(!x, z, y), m);
+        assert_eq!(b.ite(x, !y, !z), !m);
+        assert_eq!(b.ite(!x, !z, !y), !m);
+        assert_eq!(b.num_vars(), after + 1);
     }
 
     #[test]

@@ -16,6 +16,14 @@
 //!   ([`cf_sat::Solver::add_total_order`]), which builds those clauses
 //!   only as the explanations its search needs. Visibility uses the
 //!   auxiliary `Init`/`Flows` variables described in the paper.
+//!
+//! Every wide conjunction is one n-ary gate of the
+//! [`CnfBuilder`](crate::cnf::CnfBuilder) rather than a chain of binary
+//! ones: `Flows(s, l)` is one AND over `s`'s visibility and the negated
+//! shadowing of every other candidate store, `Init(l)` one AND over the
+//! negated visibilities, and each visibility term `gₛ ∧ addr_eq ∧ ord`,
+//! pointer equality, location selector and bitvector equality one gate
+//! each.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -445,17 +453,28 @@ impl Encoding {
         gate
     }
 
-    /// Looks up a cached spec-membership circuit.
-    pub(crate) fn spec_cache_lookup(&self, spec: &crate::checker::ObsSet) -> Option<Lit> {
-        self.spec_cache
-            .iter()
-            .find(|(s, _)| s == spec)
-            .map(|&(_, l)| l)
-    }
-
-    /// Caches a spec-membership circuit.
-    pub(crate) fn spec_cache_insert(&mut self, spec: crate::checker::ObsSet, lit: Lit) {
-        self.spec_cache.push((spec, lit));
+    /// The spec-membership circuit `obs ∉ spec`: one conjunction of
+    /// per-vector mismatches, each the negation of one conjunction of
+    /// per-component equalities. A pure definition, cached per spec, so
+    /// a session's inclusion queries with one spec and many assumption
+    /// vectors encode it once.
+    pub(crate) fn spec_no_match(&mut self, spec: &crate::checker::ObsSet) -> Lit {
+        if let Some(&(_, l)) = self.spec_cache.iter().find(|(s, _)| s == spec) {
+            return l;
+        }
+        let obs = self.obs.clone();
+        let mut mismatches = Vec::with_capacity(spec.vectors.len());
+        for o in &spec.vectors {
+            let eqs: Vec<Lit> = obs
+                .iter()
+                .zip(o)
+                .map(|(e, v)| self.enc_eq_const(e, v))
+                .collect();
+            mismatches.push(!self.cnf.and_many(&eqs));
+        }
+        let no_match = self.cnf.and_many(&mismatches);
+        self.spec_cache.push((spec.clone(), no_match));
+        no_match
     }
 
     /// The activation literal of candidate fence site `site`, created on
@@ -735,18 +754,15 @@ impl Encoding {
     /// option predicate holds — the gate "the selected model has this
     /// framework option" given the built-in contribution `base`.
     fn spec_option_gate(&mut self, base: Lit, has: impl Fn(&ModelSpec) -> bool) -> Lit {
-        let sels: Vec<Lit> = self
-            .specs
-            .iter()
-            .zip(&self.spec_sel)
-            .filter(|(s, _)| has(s))
-            .map(|(_, &sel)| sel)
-            .collect();
-        let mut gate = base;
-        for sel in sels {
-            gate = self.cnf.or(gate, sel);
-        }
-        gate
+        let mut gate = vec![base];
+        gate.extend(
+            self.specs
+                .iter()
+                .zip(&self.spec_sel)
+                .filter(|(s, _)| has(s))
+                .map(|(_, &sel)| sel),
+        );
+        self.cnf.or_many(&gate)
     }
 
     /// No external event may fall between two members of the group (when
@@ -850,27 +866,27 @@ impl Encoding {
                 } else {
                     self.before(s, l)
                 };
-                let v1 = self.cnf.and(gs, ae);
-                vis.push(self.cnf.and(v1, ord));
+                vis.push(self.cnf.and_many(&[gs, ae, ord]));
             }
             // Init(l): no store visible.
-            let mut init_lit = self.cnf.tt();
-            for &v in &vis {
-                init_lit = self.cnf.and(init_lit, !v);
-            }
+            let none_visible: Vec<Lit> = vis.iter().map(|&v| !v).collect();
+            let init_lit = self.cnf.and_many(&none_visible);
             self.load_init.insert(l, init_lit);
-            // Flows(s, l): s is the <M-maximal visible store.
+            // Flows(s, l): s is visible and no other visible store is
+            // <M-later — one conjunction per candidate.
             let gl = self.guards[l];
             for (i, &s) in cands.iter().enumerate() {
-                let mut flows = vis[i];
+                let mut conj = Vec::with_capacity(cands.len());
+                conj.push(vis[i]);
                 for (j, &s2) in cands.iter().enumerate() {
                     if i == j {
                         continue;
                     }
                     let later = self.before(s, s2);
                     let shadowed = self.cnf.and(vis[j], later);
-                    flows = self.cnf.and(flows, !shadowed);
+                    conj.push(!shadowed);
                 }
+                let flows = self.cnf.and_many(&conj);
                 // Retained for the `rf` relation of compiled specs.
                 self.flows.insert((s, l), flows);
                 // g_l ∧ Flows(s,l) → v_l = v_s
@@ -1171,16 +1187,15 @@ impl Encoding {
 
     /// Structural pointer equality ignoring tags.
     fn raw_ptr_eq(&mut self, a: &EncVal, b: &EncVal) -> Lit {
-        let len_eq = self.cnf.bv_eq(&a.len, &b.len);
-        let mut acc = len_eq;
+        let mut conj = Vec::with_capacity(1 + self.widths.depth);
+        conj.push(self.cnf.bv_eq(&a.len, &b.len));
         for i in 0..self.widths.depth {
             let iconst = self.cnf.bv_const(i as i64, self.widths.len);
             let active = self.cnf.bv_ult(&iconst, &a.len);
             let eq = self.cnf.bv_eq(&a.path[i], &b.path[i]);
-            let ok = self.cnf.or(!active, eq);
-            acc = self.cnf.and(acc, ok);
+            conj.push(self.cnf.or(!active, eq));
         }
-        acc
+        self.cnf.and_many(&conj)
     }
 
     /// Full program-value equality.
@@ -1220,17 +1235,17 @@ impl Encoding {
     fn sel_lit(&mut self, event: usize, loc: &[u32]) -> Lit {
         let a = self.addrs[event].clone();
         let len_c = self.cnf.bv_const(loc.len() as i64, self.widths.len);
-        let len_eq = self.cnf.bv_eq(&a.len, &len_c);
-        let mut acc = self.cnf.and(a.t_ptr, len_eq);
-        for (i, &e) in loc.iter().enumerate() {
-            if i >= self.widths.depth {
-                return self.cnf.ff();
-            }
-            let ec = self.cnf.bv_const(i64::from(e), self.widths.elem);
-            let eq = self.cnf.bv_eq(&a.path[i], &ec);
-            acc = self.cnf.and(acc, eq);
+        if loc.len() > self.widths.depth {
+            return self.cnf.ff();
         }
-        acc
+        let mut conj = Vec::with_capacity(2 + loc.len());
+        conj.push(a.t_ptr);
+        conj.push(self.cnf.bv_eq(&a.len, &len_c));
+        for (i, &e) in loc.iter().enumerate() {
+            let ec = self.cnf.bv_const(i64::from(e), self.widths.elem);
+            conj.push(self.cnf.bv_eq(&a.path[i], &ec));
+        }
+        self.cnf.and_many(&conj)
     }
 
     // ----------------------------------------------------------- decoding

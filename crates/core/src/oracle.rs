@@ -28,8 +28,8 @@ use cf_sat::{Lit, SolveResult};
 use cf_spec::ModelSpec;
 
 use crate::checker::{
-    decode_counterexample, diagnose_serializability, exhausted_err, CheckConfig, CheckError,
-    CheckOutcome, FailureKind, InclusionResult, MiningResult, ObsSet, PhaseStats,
+    decode_counterexample, decode_failure, exhausted_err, CheckConfig, CheckError, CheckOutcome,
+    FailureKind, InclusionResult, MiningResult, ObsSet, PhaseStats,
 };
 use crate::commit::{encode_abstract_machine, AbstractType};
 use crate::encode::{Encoding, ModelSel};
@@ -145,17 +145,7 @@ pub fn check_inclusion<'a>(
     let model = model.into();
     let (outcome, stats) =
         with_bounds(harness, test, model, config, |sx, enc, sel, asm, stats| {
-            // no_match := obs ∉ S
-            let mut no_match = enc.cnf.tt();
-            for o in &spec.vectors {
-                let mut all_eq = enc.cnf.tt();
-                for (i, v) in o.iter().enumerate() {
-                    let e = enc.obs[i].clone();
-                    let eq = enc.enc_eq_const(&e, v);
-                    all_eq = enc.cnf.and(all_eq, eq);
-                }
-                no_match = enc.cnf.and(no_match, !all_eq);
-            }
+            let no_match = enc.spec_no_match(spec);
             refute(sx, enc, sel, asm, no_match, stats)
         })?;
     Ok(InclusionResult { outcome, stats })
@@ -301,9 +291,8 @@ fn solve(enc: &mut Encoding, assumptions: &[Lit], stats: &mut PhaseStats) -> Sol
 
 /// Solves for an execution that raises a runtime error or whose
 /// `mismatch` literal holds: none is a bound-sensitive pass, one is a
-/// final counterexample, decoded in memory order. Witnesses of a
-/// declarative model also name the serializability axiom they break,
-/// as the engine's do.
+/// final counterexample, decoded in memory order by the engine's own
+/// [`decode_failure`] (which settles the failure kind).
 fn refute(
     sx: &SymExec,
     enc: &mut Encoding,
@@ -319,16 +308,7 @@ fn refute(
         SolveResult::Unsat => Ok(Round::Bounded(CheckOutcome::Pass)),
         SolveResult::Unknown => Err(exhausted_err(&enc.cnf.solver)),
         SolveResult::Sat => {
-            let kind = if enc.cnf.lit_value(enc.error_lit) {
-                FailureKind::RuntimeError
-            } else {
-                FailureKind::InconsistentObservation
-            };
-            let name = enc.model_name(sel);
-            let mut cx = decode_counterexample(sx, enc, kind, name);
-            if matches!(sel, ModelSel::Spec(_)) && kind == FailureKind::InconsistentObservation {
-                cx.violated_axiom = diagnose_serializability(sx, enc);
-            }
+            let cx = decode_failure(sx, enc, sel, asm, mismatch, |enc, a| solve(enc, a, stats))?;
             Ok(Round::Final(CheckOutcome::Fail(Box::new(cx))))
         }
     }

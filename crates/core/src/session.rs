@@ -44,8 +44,8 @@ use cf_sat::{Lit, SolveResult};
 use cf_spec::ModelSpec;
 
 use crate::checker::{
-    decode_counterexample, exhausted_err, CheckConfig, CheckError, CheckOutcome, FailureKind,
-    ObsSet, PhaseStats,
+    decode_counterexample, decode_failure, exhausted_err, CheckConfig, CheckError, CheckOutcome,
+    FailureKind, ObsSet, PhaseStats,
 };
 use crate::commit::{encode_abstract_machine, AbstractType};
 use crate::encode::{Encoding, ModelSel};
@@ -321,7 +321,7 @@ impl<'h> CheckSession<'h> {
                 // The spec-membership circuit is a pure definition: cache it
                 // per spec, so the fence-inference loop (same spec, different
                 // activation vector) encodes it once.
-                let no_match = Self::spec_no_match(enc, spec);
+                let no_match = enc.spec_no_match(spec);
                 let bad = enc.cnf.or(enc.error_lit, no_match);
                 let mut a = asm.to_vec();
                 a.push(bad);
@@ -376,22 +376,12 @@ impl<'h> CheckSession<'h> {
                             w.toggles.sort_unstable();
                             prov_out = Some(w);
                         }
-                        let kind = if enc.cnf.lit_value(enc.error_lit) {
-                            FailureKind::RuntimeError
-                        } else {
-                            FailureKind::InconsistentObservation
-                        };
-                        let name = enc.model_name(model);
-                        let mut cx = decode_counterexample(sx, enc, kind, name);
-                        // Spec-model reports name the serializability
-                        // axiom the witness breaks (the spec's `model`
-                        // header alone does not say *why* the execution
-                        // is inconsistent).
-                        if matches!(model, ModelSel::Spec(_))
-                            && kind == FailureKind::InconsistentObservation
-                        {
-                            cx.violated_axiom = crate::checker::diagnose_serializability(sx, enc);
-                        }
+                        let cx = decode_failure(sx, enc, model, asm, no_match, |enc, a| {
+                            let t = Instant::now();
+                            let r = enc.cnf.solver.solve_with(a);
+                            stats.solve_time += t.elapsed();
+                            r
+                        })?;
                         Ok(Round::Final(CheckOutcome::Fail(Box::new(cx))))
                     }
                 }
@@ -660,10 +650,30 @@ impl<'h> CheckSession<'h> {
             asm.extend(st.enc.exceeded.iter().map(|(_, l)| !*l));
             asm.push(gate);
             let bad = st.enc.cnf.or(st.enc.error_lit, mismatch);
-            asm.push(bad);
-            let t = Instant::now();
-            let r = st.enc.cnf.solver.solve_with(&asm);
-            stats.solve_time += t.elapsed();
+            let mut refute = asm.clone();
+            refute.push(bad);
+            let mut solve = |enc: &mut Encoding, a: &[Lit]| {
+                let t = Instant::now();
+                let r = enc.cnf.solver.solve_with(a);
+                stats.solve_time += t.elapsed();
+                r
+            };
+            // `None` is a pass; a failure or exhaustion is final.
+            let fin = match solve(&mut st.enc, &refute) {
+                SolveResult::Sat => Some(
+                    decode_failure(
+                        &st.sx,
+                        &mut st.enc,
+                        ModelSel::Builtin(mode),
+                        &asm,
+                        mismatch,
+                        solve,
+                    )
+                    .map(|cx| CheckOutcome::Fail(Box::new(cx))),
+                ),
+                SolveResult::Unknown => Some(Err(exhausted_err(&st.enc.cnf.solver))),
+                SolveResult::Unsat => None,
+            };
             stats.iterations += 1;
             stats.unrolled = st.sx.stats;
             stats.sat_vars = st.enc.cnf.num_vars();
@@ -672,47 +682,17 @@ impl<'h> CheckSession<'h> {
             stats.sat_conflicts += sat1.conflicts;
             stats.sat_propagations += sat1.propagations;
             stats.sat_solves += sat1.solves;
-            match r {
-                SolveResult::Sat => {
-                    let kind = if st.enc.cnf.lit_value(st.enc.error_lit) {
-                        FailureKind::RuntimeError
-                    } else {
-                        FailureKind::InconsistentObservation
-                    };
-                    let name = mode.name().to_string();
-                    let cx = decode_counterexample(&st.sx, &mut st.enc, kind, name);
-                    return Ok(CheckOutcome::Fail(Box::new(cx)));
-                }
-                SolveResult::Unknown => return Err(exhausted_err(&st.enc.cnf.solver)),
-                SolveResult::Unsat => match overflow {
-                    None => return Ok(CheckOutcome::Pass),
-                    Some(keys) => self.grow_bounds(keys),
-                },
+            if let Some(outcome) = fin {
+                return outcome;
+            }
+            match overflow {
+                None => return Ok(CheckOutcome::Pass),
+                Some(keys) => self.grow_bounds(keys),
             }
         }
         Err(CheckError::BoundsDiverged {
             keys: self.bounds.keys().cloned().collect(),
         })
-    }
-
-    /// The cached `obs ∉ spec` circuit (a pure definition).
-    fn spec_no_match(enc: &mut Encoding, spec: &ObsSet) -> Lit {
-        // The cache lives on the Encoding so it is dropped on re-encode.
-        if let Some(l) = enc.spec_cache_lookup(spec) {
-            return l;
-        }
-        let mut no_match = enc.cnf.tt();
-        for o in &spec.vectors {
-            let mut all_eq = enc.cnf.tt();
-            for (i, v) in o.iter().enumerate() {
-                let e = enc.obs[i].clone();
-                let eq = enc.enc_eq_const(&e, v);
-                all_eq = enc.cnf.and(all_eq, eq);
-            }
-            no_match = enc.cnf.and(no_match, !all_eq);
-        }
-        enc.spec_cache_insert(spec.clone(), no_match);
-        no_match
     }
 }
 

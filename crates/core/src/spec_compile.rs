@@ -65,7 +65,7 @@ impl SatCtx<'_, '_> {
             return self.enc.cnf.ff();
         }
         let (thread, xpo, ypo) = (ex.thread, ex.po, ey.po);
-        let mut acc = self.enc.cnf.ff();
+        let mut present = Vec::new();
         for fi in 0..self.sx.fences.len() {
             let f = &self.sx.fences[fi];
             if f.thread != thread || f.po <= xpo || f.po >= ypo || !pred(f.sem) {
@@ -77,10 +77,9 @@ impl SatCtx<'_, '_> {
                 Some(s) => self.enc.fence_act(s),
                 None => self.enc.cnf.tt(),
             };
-            let here = self.enc.cnf.and(gf, act);
-            acc = self.enc.cnf.or(acc, here);
+            present.push(self.enc.cnf.and(gf, act));
         }
-        acc
+        self.enc.cnf.or_many(&present)
     }
 
     fn rf(&mut self, x: usize, y: usize) -> Lit {
@@ -118,12 +117,13 @@ impl SatCtx<'_, '_> {
         }
         // fr(x, y) ⇔ loc(x, y) ∧ (Init(x) ∨ ∃s₀. rf(s₀, x) ∧ s₀ <M y):
         // the read-from store (or the initial value) is overwritten by y.
-        let mut cases = self
+        let init = self
             .enc
             .load_init
             .get(&x)
             .copied()
             .unwrap_or_else(|| self.enc.cnf.tt());
+        let mut cases = vec![init];
         for s0 in 0..self.sx.events.len() {
             if s0 == y {
                 continue;
@@ -132,9 +132,9 @@ impl SatCtx<'_, '_> {
                 continue;
             };
             let b = self.enc.before(s0, y);
-            let case = self.enc.cnf.and(flows, b);
-            cases = self.enc.cnf.or(cases, case);
+            cases.push(self.enc.cnf.and(flows, b));
         }
+        let cases = self.enc.cnf.or_many(&cases);
         self.enc.cnf.and(ae, cases)
     }
 }
