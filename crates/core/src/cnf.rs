@@ -15,9 +15,11 @@
 //! The caches only answer lookups and are never iterated, so the
 //! clause order depends on the call order alone.
 
+use std::hash::{Hash, Hasher};
+
 use cf_sat::{Lit, Solver};
 
-use crate::fxhash::FxHashMap;
+use crate::fxhash::{FxHashMap, FxHasher};
 
 /// A CNF builder wrapping an incremental SAT solver.
 #[derive(Debug)]
@@ -29,9 +31,12 @@ pub struct CnfBuilder {
     // hot path, where SipHash is measurably slower.
     and_cache: FxHashMap<(Lit, Lit), Lit>,
     xor_cache: FxHashMap<(Lit, Lit), Lit>,
-    /// N-ary conjunctions (three or more inputs), keyed on the sorted,
-    /// deduplicated input list.
-    and_many_cache: FxHashMap<Vec<Lit>, Lit>,
+    /// N-ary conjunctions (three or more inputs): the hash of the
+    /// sorted, deduplicated input list → `(start, len, gate)`, the lists
+    /// stored back to back in `and_many_inputs` rather than one heap key
+    /// per gate. A hash collision leaves the later gate uncached.
+    and_many_cache: FxHashMap<u64, (u32, u32, Lit)>,
+    and_many_inputs: Vec<Lit>,
     /// Multiplexers keyed on `(c, a, b)` with `c` and `a` positive.
     ite_cache: FxHashMap<(Lit, Lit, Lit), Lit>,
     clauses: u64,
@@ -55,6 +60,7 @@ impl CnfBuilder {
             and_cache: FxHashMap::default(),
             xor_cache: FxHashMap::default(),
             and_many_cache: FxHashMap::default(),
+            and_many_inputs: Vec::new(),
             ite_cache: FxHashMap::default(),
             clauses: 0,
         }
@@ -276,8 +282,14 @@ impl CnfBuilder {
             [x, y] => return self.and(x, y),
             _ => {}
         }
-        if let Some(&g) = self.and_many_cache.get(&xs) {
-            return g;
+        let mut h = FxHasher::default();
+        xs.hash(&mut h);
+        let key = h.finish();
+        let cached = self.and_many_cache.get(&key).copied();
+        if let Some((start, len, g)) = cached {
+            if self.and_many_inputs[start as usize..][..len as usize] == xs[..] {
+                return g;
+            }
         }
         let g = self.fresh();
         for &x in &xs {
@@ -287,7 +299,11 @@ impl CnfBuilder {
         long.push(g);
         long.extend(xs.iter().map(|&x| !x));
         self.clause(long);
-        self.and_many_cache.insert(xs, g);
+        if cached.is_none() {
+            let start = self.and_many_inputs.len() as u32;
+            self.and_many_inputs.extend_from_slice(&xs);
+            self.and_many_cache.insert(key, (start, xs.len() as u32, g));
+        }
         g
     }
 
