@@ -1233,11 +1233,11 @@ impl Encoding {
 
     /// The selector `event targets location`.
     fn sel_lit(&mut self, event: usize, loc: &[u32]) -> Lit {
-        let a = self.addrs[event].clone();
-        let len_c = self.cnf.bv_const(loc.len() as i64, self.widths.len);
         if loc.len() > self.widths.depth {
             return self.cnf.ff();
         }
+        let a = self.addrs[event].clone();
+        let len_c = self.cnf.bv_const(loc.len() as i64, self.widths.len);
         let mut conj = Vec::with_capacity(2 + loc.len());
         conj.push(a.t_ptr);
         conj.push(self.cnf.bv_eq(&a.len, &len_c));
